@@ -494,17 +494,22 @@ fn stats_to_json(s: &EvalStats) -> aql_trace::json::Json {
         ("subscripts".to_string(), n(s.subscripts)),
         ("elided".to_string(), n(s.elided)),
         ("materialized".to_string(), n(s.materialized)),
-        (
-            "cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), n(s.cache.hits)),
-                ("misses".to_string(), n(s.cache.misses)),
-                ("evictions".to_string(), n(s.cache.evictions)),
-                ("bytes_read".to_string(), n(s.cache.bytes_read)),
-                ("prefetched_bytes".to_string(), n(s.cache.prefetched_bytes)),
-                ("load_errors".to_string(), n(s.cache.load_errors)),
-            ]),
-        ),
+        ("cache".to_string(), cache_to_json(&s.cache)),
+    ])
+}
+
+/// A statement's cache counters as JSON (`QueryReport` statements and
+/// slow-log records share the layout).
+fn cache_to_json(c: &aql_store::CacheStats) -> aql_trace::json::Json {
+    use aql_trace::json::Json;
+    let n = |v: u64| Json::Num(v as f64);
+    Json::Obj(vec![
+        ("hits".to_string(), n(c.hits)),
+        ("misses".to_string(), n(c.misses)),
+        ("evictions".to_string(), n(c.evictions)),
+        ("bytes_read".to_string(), n(c.bytes_read)),
+        ("prefetched_bytes".to_string(), n(c.prefetched_bytes)),
+        ("load_errors".to_string(), n(c.load_errors)),
     ])
 }
 
@@ -937,9 +942,9 @@ impl Session {
     /// Run a statement. Opens a root `statement` span (when tracing)
     /// and records the statement's [`EvalStats`]: evaluation counters
     /// merged over every evaluation it performs, with cache counters
-    /// taken as the statement-level delta of the store's global
-    /// aggregate — so reader I/O and echo-forced chunk loads are
-    /// attributed to the statement that caused them.
+    /// folded from the statement's attribution ledger — so reader I/O
+    /// and echo-forced chunk loads are attributed to the statement
+    /// that caused them.
     pub fn exec(&mut self, stmt: &Stmt) -> Result<Outcome, LangError> {
         let _span = aql_trace::span("statement");
         let kind = stmt_label(stmt);
@@ -967,14 +972,8 @@ impl Session {
             .slow_log
             .as_ref()
             .map(|_| aql_metrics::family_total("aql_opt_rule_fires_total"));
-        // Breaker trips *during* the statement are detected as a
-        // counter delta; the snapshot seeds the incident delta table.
-        let trips_base = self
-            .incidents
-            .as_ref()
-            .map(|_| aql_metrics::family_total("aql_store_breaker_trips_total"));
+        // The snapshot seeds the incident's metric delta table.
         let metrics_base = self.incidents.as_ref().map(|_| aql_metrics::snapshot());
-        let cache_base = aql_store::stats::global();
         self.cur_stats.set(EvalStats::default());
         self.cur_phases.borrow_mut().clear();
         aql_store::governor::reset_peak();
@@ -989,7 +988,7 @@ impl Session {
             .collect();
         ledger.governor_peak_bytes = aql_store::governor::peak_bytes();
         let mut st = self.cur_stats.take();
-        st.cache = aql_store::stats::global().delta_since(&cache_base);
+        st.cache = aql_store::CacheStats::from_ledger(&ledger);
         self.stmt_stats.borrow_mut().push(st);
         if aql_metrics::enabled() {
             aql_metrics::counter_with(
@@ -1022,7 +1021,7 @@ impl Session {
             );
         }
         let incident =
-            self.maybe_dump_incident(stmt, kind, seq, dur, &ledger, trips_base, metrics_base, &out);
+            self.maybe_dump_incident(stmt, kind, seq, dur, &ledger, metrics_base, &out);
         self.stmt_attr.borrow_mut().push(ledger);
         if let Some(dur) = dur {
             M_STATEMENT_NS.observe(dur.as_nanos() as u64);
@@ -1043,7 +1042,8 @@ impl Session {
     /// Dump an incident file for the statement just executed, if the
     /// pipeline is on and the outcome warrants one: errors (with
     /// resource exhaustion told apart), breaker trips observed during
-    /// the statement, and slow-threshold crossings. Returns the file's
+    /// the statement (on this thread, per the ledger), and
+    /// slow-threshold crossings. Returns the file's
     /// path; dump failures are swallowed.
     #[allow(clippy::too_many_arguments)]
     fn maybe_dump_incident(
@@ -1053,14 +1053,10 @@ impl Session {
         seq: u64,
         dur: Option<Duration>,
         ledger: &aql_journal::attr::Ledger,
-        trips_base: Option<u64>,
         metrics_base: Option<Vec<(String, u64)>>,
         out: &Result<Outcome, LangError>,
     ) -> Option<std::path::PathBuf> {
         let cfg = self.incidents.as_ref()?;
-        let trips = trips_base.map_or(0, |b| {
-            aql_metrics::family_total("aql_store_breaker_trips_total").saturating_sub(b)
-        });
         let slow_threshold = cfg
             .slow_threshold
             .or_else(|| self.slow_log.as_ref().map(|l| l.config.threshold));
@@ -1069,7 +1065,7 @@ impl Session {
         let ikind = match out {
             Err(e) if is_resource_exhausted(e) => IncidentKind::ResourceExhausted,
             Err(_) => IncidentKind::Error,
-            Ok(_) if trips > 0 => IncidentKind::BreakerTrip,
+            Ok(_) if ledger.total_trips() > 0 => IncidentKind::BreakerTrip,
             Ok(_) if slow => IncidentKind::Slow,
             Ok(_) => return None,
         };
@@ -1171,17 +1167,7 @@ impl Session {
                     ("materialized".to_string(), n(stats.materialized)),
                 ]),
             ),
-            (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), n(stats.cache.hits)),
-                    ("misses".to_string(), n(stats.cache.misses)),
-                    ("evictions".to_string(), n(stats.cache.evictions)),
-                    ("bytes_read".to_string(), n(stats.cache.bytes_read)),
-                    ("prefetched_bytes".to_string(), n(stats.cache.prefetched_bytes)),
-                    ("load_errors".to_string(), n(stats.cache.load_errors)),
-                ]),
-            ),
+            ("cache".to_string(), cache_to_json(&stats.cache)),
             ("rule_fires".to_string(), n(fires)),
             ("error".to_string(), Json::Bool(errored)),
             (

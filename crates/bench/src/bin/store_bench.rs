@@ -113,12 +113,7 @@ fn measure(path: &str, reader: &Config, pattern: &'static str, query: &str) -> R
     let before = aql_store::stats::global();
     let t0 = Instant::now();
 
-    let mut s = Session::new();
-    s.register_reader("NC", Rc::new((reader.reader)()));
-    s.run(&format!(
-        "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-    ))
-    .expect("bind");
+    let mut s = bind(path, (reader.reader)());
     let (_, v) = s.eval_query(query).expect("query");
     assert!(!v.is_bottom(), "{}/{pattern}: query produced ⊥", reader.name);
 
@@ -139,12 +134,7 @@ fn measure(path: &str, reader: &Config, pattern: &'static str, query: &str) -> R
 /// Re-run the workload in a fresh session under `Session::profile` and
 /// return the full span/counter report.
 fn profile_report(path: &str, reader: &Config, query: &str) -> QueryReport {
-    let mut s = Session::new();
-    s.register_reader("NC", Rc::new((reader.reader)()));
-    s.run(&format!(
-        "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-    ))
-    .expect("bind");
+    let mut s = bind(path, (reader.reader)());
     let (_, report) = s.profile(&format!("{query};")).expect("profiled query");
     report
 }
@@ -177,411 +167,198 @@ fn json_escape_free(rows: &[Row]) -> String {
     )
 }
 
-/// `--trace-overhead`: run the subslab-scan workload with tracing off
-/// and with tracing on (a full `Session::profile` per query, the worst
-/// realistic usage) and fail loudly if the traced wall time exceeds
-/// the untraced one by more than 5%. Min-of-N timing on both sides
-/// keeps scheduler noise from flaking the check; the cost of the
-/// *disabled* hooks is strictly below what this measures.
-fn trace_overhead_check(path: &str) {
-    const TRIALS: usize = 7;
-    const ITERS: usize = 40;
-    let query = "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }";
-
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
-
-    let time_iters = |s: &mut Session, traced: bool| -> u128 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            if traced {
-                s.profile(&format!("{query};")).expect("traced query");
-            } else {
-                s.eval_query(query).expect("untraced query");
-            }
-        }
-        t0.elapsed().as_micros()
-    };
-
-    let mut s_off = make_session();
-    let mut s_on = make_session();
-    // Warm-up: chunk caches, file cache, branch predictors.
-    time_iters(&mut s_off, false);
-    time_iters(&mut s_on, true);
-
-    let mut best_off = u128::MAX;
-    let mut best_on = u128::MAX;
-    for _ in 0..TRIALS {
-        best_off = best_off.min(time_iters(&mut s_off, false));
-        best_on = best_on.min(time_iters(&mut s_on, true));
-    }
-
-    let ratio = best_on as f64 / best_off as f64;
-    println!(
-        "trace overhead: untraced {best_off}µs vs traced {best_on}µs \
-         (best of {TRIALS} × {ITERS} queries) — ratio {ratio:.4}"
-    );
-    // 5% relative plus a small absolute allowance so sub-millisecond
-    // jitter on a fast machine cannot flake the check.
-    assert!(
-        best_on as f64 <= best_off as f64 * 1.05 + 500.0,
-        "TRACE OVERHEAD BUDGET EXCEEDED: traced runs are {:.2}% slower \
-         than untraced (budget: 5%)",
-        (ratio - 1.0) * 100.0
-    );
-    println!("trace overhead within the 5% budget");
+/// Bind the whole `temp` variable as `T` in a fresh session.
+fn bind(path: &str, reader: NetcdfSlabReader) -> Session {
+    let mut s = Session::new();
+    s.register_reader("NC", Rc::new(reader));
+    s.run(&format!(
+        "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
+    ))
+    .expect("bind");
+    s
 }
 
-/// `--metrics-overhead`: time the subslab-scan workload with metric
-/// recording globally off vs. on (the default) and fail loudly if the
-/// metrics-on wall time exceeds metrics-off by more than 3%. This
-/// prices the always-on hooks — phase/statement timers, statement
-/// counters, the store/NetCDF counter bumps — not the endpoint or the
-/// slow log, which are opt-in.
-fn metrics_overhead_check(path: &str) {
-    const TRIALS: usize = 7;
-    const ITERS: usize = 40;
-    let query = "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }";
+const POINT_PROBE: (&str, &str) = ("point-probe", "T[5000, 2, 2]");
+const SUBSLAB_SCAN: (&str, &str) =
+    ("subslab-scan", "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }");
 
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
-
-    let time_iters = |s: &mut Session| -> u128 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            s.eval_query(query).expect("query");
-        }
-        t0.elapsed().as_micros()
-    };
-
-    let mut s_off = make_session();
-    let mut s_on = make_session();
-    // Warm-up: chunk caches, file cache, branch predictors.
-    time_iters(&mut s_off);
-    time_iters(&mut s_on);
-
-    let mut best_off = u128::MAX;
-    let mut best_on = u128::MAX;
-    for _ in 0..TRIALS {
-        aql_metrics::set_enabled(false);
-        best_off = best_off.min(time_iters(&mut s_off));
-        aql_metrics::set_enabled(true);
-        best_on = best_on.min(time_iters(&mut s_on));
-    }
-    aql_metrics::set_enabled(true);
-
-    let ratio = best_on as f64 / best_off as f64;
-    println!(
-        "metrics overhead: off {best_off}µs vs on {best_on}µs \
-         (best of {TRIALS} × {ITERS} queries) — ratio {ratio:.4}"
-    );
-    // 3% relative plus a small absolute allowance so sub-millisecond
-    // jitter on a fast machine cannot flake the check.
-    assert!(
-        best_on as f64 <= best_off as f64 * 1.03 + 500.0,
-        "METRICS OVERHEAD BUDGET EXCEEDED: metrics-on runs are {:.2}% slower \
-         than metrics-off (budget: 3%)",
-        (ratio - 1.0) * 100.0
-    );
-    println!("metrics overhead within the 3% budget");
+/// One `--*-overhead` A/B gate: the same session workload timed with a
+/// feature off and on. Runs alternate strictly — off, on, off, on —
+/// so adjacent runs see the same machine state, and each side keeps
+/// its best run (min-of-N, so scheduler noise cannot flake the check).
+/// The gate fails if on exceeds off by more than `budget_pct` percent
+/// plus 500 µs, so sub-millisecond jitter on a fast machine cannot
+/// flake it either.
+struct Gate {
+    flag: &'static str,
+    /// Report name: "`name` overhead: …".
+    name: &'static str,
+    /// Off/on side names in the measurement line.
+    sides: [&'static str; 2],
+    /// Off/on run names in the failure message.
+    runs: [&'static str; 2],
+    budget_pct: u32,
+    patterns: &'static [(&'static str, &'static str)],
+    /// Timed runs per side, and queries per run.
+    runs_per_side: usize,
+    queries: usize,
+    /// Build one side's session (`true` = on).
+    session: fn(&str, bool) -> Session,
+    /// Put the process into one side's mode before its timed run; the
+    /// gate ends in the on mode (every switch's default).
+    switch: fn(bool),
+    /// Run one query on one side.
+    query: fn(&mut Session, &str, bool),
+    /// Time the on side under the 99 Hz span sampler, started before
+    /// and stopped after each timed run.
+    sampled: bool,
 }
 
-/// `--resilience-overhead`: time the subslab-scan workload with the
-/// resilience stack disabled (`resilience: None`, raw chunk source)
-/// vs. enabled with the default policy (retry + breaker + checksum
-/// verification + governor charging, all on their no-fault paths) and
-/// fail loudly if the resilient wall time exceeds the raw one by more
-/// than 1%. The budget is deliberately tight: breaker accounting and
-/// governor charging run only on cache misses, and cache hits must
-/// stay completely untouched.
-fn resilience_overhead_check(path: &str) {
-    const TRIALS: usize = 7;
-    const ITERS: usize = 40;
-    let query = "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }";
-
-    let make_session = |resilient: bool| {
-        let mut s = Session::new();
-        let mut r = reader_lazy_4m();
-        if !resilient {
-            r.resilience = None;
-        }
-        s.register_reader("NC", Rc::new(r));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
-
-    let time_iters = |s: &mut Session| -> u128 {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            s.eval_query(query).expect("query");
-        }
-        t0.elapsed().as_micros()
-    };
-
-    let mut s_off = make_session(false);
-    let mut s_on = make_session(true);
-    // Warm-up: chunk caches, file cache, branch predictors.
-    time_iters(&mut s_off);
-    time_iters(&mut s_on);
-
-    let mut best_off = u128::MAX;
-    let mut best_on = u128::MAX;
-    for _ in 0..TRIALS {
-        best_off = best_off.min(time_iters(&mut s_off));
-        best_on = best_on.min(time_iters(&mut s_on));
-    }
-
-    let ratio = best_on as f64 / best_off as f64;
-    println!(
-        "resilience overhead: raw {best_off}µs vs resilient {best_on}µs \
-         (best of {TRIALS} × {ITERS} queries) — ratio {ratio:.4}"
-    );
-    // 1% relative plus a small absolute allowance so sub-millisecond
-    // jitter on a fast machine cannot flake the check.
-    assert!(
-        best_on as f64 <= best_off as f64 * 1.01 + 500.0,
-        "RESILIENCE OVERHEAD BUDGET EXCEEDED: resilient runs are {:.2}% slower \
-         than raw (budget: 1%)",
-        (ratio - 1.0) * 100.0
-    );
-    println!("resilience overhead within the 1% budget");
+fn lazy_session(path: &str, _on: bool) -> Session {
+    bind(path, reader_lazy_4m())
 }
 
-/// `--journal-overhead`: time the point-probe and subslab-scan
-/// workloads with the flight recorder globally off vs. on (the
-/// default) and fail loudly if either recorder-on wall time exceeds
-/// recorder-off by more than 1%. This prices every always-on journal
-/// hook on the hot path — statement begin/end stamps, phase records,
-/// the per-access cache hit/miss/warm records, and the thread-local
-/// hit coalescing — and holds the recorder to its design point:
-/// effectively free while nobody is reading it.
-fn journal_overhead_check(path: &str) {
-    const TRIALS: usize = 7;
-    const ITERS: usize = 40;
-    let patterns: [(&str, &str); 2] = [
-        ("point-probe", "T[5000, 2, 2]"),
-        ("subslab-scan", "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }"),
-    ];
+fn eval_query(s: &mut Session, query: &str, _on: bool) {
+    s.eval_query(query).expect("query");
+}
 
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
+fn no_switch(_on: bool) {}
+
+/// The session gates, in flag-precedence order.
+fn gates() -> [Gate; 6] {
+    let gate = |flag, name, runs, budget_pct, patterns| Gate {
+        flag,
+        name,
+        sides: ["off", "on"],
+        runs,
+        budget_pct,
+        patterns,
+        runs_per_side: 7,
+        queries: 40,
+        session: lazy_session,
+        switch: no_switch,
+        query: eval_query,
+        sampled: false,
     };
+    const BOTH: &[(&str, &str)] = &[POINT_PROBE, SUBSLAB_SCAN];
+    [
+        // Tracing on means a full `Session::profile` per query, the
+        // worst realistic usage; the disabled hooks cost strictly less.
+        Gate {
+            sides: ["untraced", "traced"],
+            query: |s, q, on| {
+                if on {
+                    s.profile(&format!("{q};")).expect("traced query");
+                } else {
+                    s.eval_query(q).expect("untraced query");
+                }
+            },
+            ..gate("--trace-overhead", "trace", ["untraced", "traced"], 5, &[SUBSLAB_SCAN])
+        },
+        // The always-on hooks: phase/statement timers, statement
+        // counters and the storage event stream's metric sink — not the
+        // endpoint or the slow log, which are opt-in.
+        Gate {
+            switch: aql_metrics::set_enabled,
+            ..gate("--metrics-overhead", "metrics", ["metrics-off", "metrics-on"], 3, &[SUBSLAB_SCAN])
+        },
+        // The fault-tolerance stack on its happy path: the raw chunk
+        // source vs. retry + breaker + checksums + governor charging.
+        // Cache hits bypass the whole stack, hence the tight budget.
+        Gate {
+            sides: ["raw", "resilient"],
+            session: |path, on| {
+                let mut r = reader_lazy_4m();
+                if !on {
+                    r.resilience = None;
+                }
+                bind(path, r)
+            },
+            ..gate("--resilience-overhead", "resilience", ["raw", "resilient"], 1, &[SUBSLAB_SCAN])
+        },
+        // The flight recorder: statement stamps, phase records, cache
+        // records and the thread-local hit coalescing.
+        Gate {
+            switch: aql_journal::set_enabled,
+            ..gate("--journal-overhead", "journal", ["recorder-off", "recorder-on"], 1, BOTH)
+        },
+        // The span sampler never stops the mutator; queries only see
+        // the relaxed load gating span publication plus cache traffic
+        // from the sampler core. Short blocks track machine drift.
+        Gate {
+            runs_per_side: 60,
+            queries: 5,
+            sampled: true,
+            ..gate("--profile-overhead", "profile", ["sampler-off", "sampler-on"], 1, BOTH)
+        },
+        // The per-statement interval pass plus the elision fast path
+        // it enables, against a plain bounds-checked evaluator.
+        Gate {
+            switch: aql_core::eval::bounds::set_enabled,
+            ..gate("--analysis-overhead", "analysis", ["analysis-off", "analysis-on"], 2, BOTH)
+        },
+    ]
+}
 
-    for (pattern, query) in patterns {
-        let time_iters = |s: &mut Session| -> u128 {
+fn run_gate(gate: &Gate, path: &str) {
+    let several = gate.patterns.len() > 1;
+    for &(pattern, query) in gate.patterns {
+        let time = |s: &mut Session, on: bool| -> u128 {
             let t0 = Instant::now();
-            for _ in 0..ITERS {
-                s.eval_query(query).expect("query");
+            for _ in 0..gate.queries {
+                (gate.query)(s, query, on);
             }
             t0.elapsed().as_micros()
         };
-
-        let mut s_off = make_session();
-        let mut s_on = make_session();
+        let mut sessions = [(gate.session)(path, false), (gate.session)(path, true)];
         // Warm-up: chunk caches, file cache, branch predictors.
-        time_iters(&mut s_off);
-        time_iters(&mut s_on);
+        time(&mut sessions[0], false);
+        time(&mut sessions[1], true);
 
-        let mut best_off = u128::MAX;
-        let mut best_on = u128::MAX;
-        for _ in 0..TRIALS {
-            aql_journal::set_enabled(false);
-            best_off = best_off.min(time_iters(&mut s_off));
-            aql_journal::set_enabled(true);
-            best_on = best_on.min(time_iters(&mut s_on));
-        }
-        aql_journal::set_enabled(true);
-
-        let ratio = best_on as f64 / best_off as f64;
-        println!(
-            "journal overhead ({pattern}): off {best_off}µs vs on {best_on}µs \
-             (best of {TRIALS} × {ITERS} queries) — ratio {ratio:.4}"
-        );
-        // 1% relative plus a small absolute allowance so sub-millisecond
-        // jitter on a fast machine cannot flake the check.
-        assert!(
-            best_on as f64 <= best_off as f64 * 1.01 + 500.0,
-            "JOURNAL OVERHEAD BUDGET EXCEEDED on {pattern}: recorder-on runs are \
-             {:.2}% slower than recorder-off (budget: 1%)",
-            (ratio - 1.0) * 100.0
-        );
-        println!("journal overhead ({pattern}) within the 1% budget");
-    }
-}
-
-/// `--profile-overhead`: time the point-probe and subslab-scan
-/// workloads with the span-sampling profiler off vs. running at its
-/// default 99 Hz, and fail loudly if sampler-on wall time exceeds
-/// sampler-off by more than 1%. The sampler never stops the mutator —
-/// each tick reads per-thread seqlock'd span paths — so the only cost
-/// the queries can see is the one relaxed atomic load that gates span
-/// publication, plus cache traffic from the sampler core. This gate
-/// holds the profiler to its design point: safe to leave on in
-/// production.
-fn profile_overhead_check(path: &str) {
-    // Short blocks, strictly alternating off/on: adjacent blocks see
-    // the same machine state (thermal, noisy neighbors), so the
-    // min-of-blocks comparison is robust to drift a coarse
-    // off-then-on split would misread as sampler overhead.
-    const BLOCK: usize = 5;
-    const BLOCKS: usize = 120; // 60 per side
-    let patterns: [(&str, &str); 2] = [
-        ("point-probe", "T[5000, 2, 2]"),
-        ("subslab-scan", "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }"),
-    ];
-
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
-
-    for (pattern, query) in patterns {
-        let time_block = |s: &mut Session| -> u128 {
-            let t0 = Instant::now();
-            for _ in 0..BLOCK {
-                s.eval_query(query).expect("query");
-            }
-            t0.elapsed().as_micros()
-        };
-
-        let mut s_off = make_session();
-        let mut s_on = make_session();
-        // Warm-up: chunk caches, file cache, branch predictors.
-        time_block(&mut s_off);
-        time_block(&mut s_on);
-
-        let mut best_off = u128::MAX;
-        let mut best_on = u128::MAX;
+        let mut best = [u128::MAX; 2];
         let mut profile = aql_profile::Profile::default();
-        for block in 0..BLOCKS {
-            if block % 2 == 0 {
-                best_off = best_off.min(time_block(&mut s_off));
-            } else {
-                // The sampler starts before and stops after the timed
-                // region: thread spawn/join churn stays untimed, the
-                // publication cost inside the queries does not.
-                let sampler =
-                    aql_profile::Sampler::start(aql_profile::DEFAULT_HZ).expect("sampler");
-                best_on = best_on.min(time_block(&mut s_on));
+        for run in 0..2 * gate.runs_per_side {
+            let on = run % 2 == 1;
+            (gate.switch)(on);
+            // Sampler thread spawn/join stays untimed; the publication
+            // cost inside the queries does not.
+            let sampler = (on && gate.sampled)
+                .then(|| aql_profile::Sampler::start(aql_profile::DEFAULT_HZ).expect("sampler"));
+            best[on as usize] = best[on as usize].min(time(&mut sessions[on as usize], on));
+            if let Some(sampler) = sampler {
                 profile.merge(&sampler.stop());
             }
         }
+        (gate.switch)(true);
 
-        let ratio = best_on as f64 / best_off as f64;
+        let [off, on] = best;
+        let ratio = on as f64 / off as f64;
+        let (label, on_pattern) =
+            if several { (format!(" ({pattern})"), format!(" on {pattern}")) } else { Default::default() };
+        let (n, q) = (gate.runs_per_side, gate.queries);
+        let schedule = if gate.sampled {
+            format!("best of {n} alternating blocks of {q} queries, {} samples", profile.samples)
+        } else {
+            format!("best of {n} × {q} queries")
+        };
         println!(
-            "profile overhead ({pattern}): off {best_off}µs vs on {best_on}µs \
-             (best of {} alternating blocks of {BLOCK} queries, {} samples) — ratio {ratio:.4}",
-            BLOCKS / 2,
-            profile.samples
+            "{} overhead{label}: {} {off}µs vs {} {on}µs ({schedule}) — ratio {ratio:.4}",
+            gate.name, gate.sides[0], gate.sides[1]
         );
         for (stack, count) in profile.top(4) {
             println!("  {count:>6} {stack}");
         }
-        // 1% relative plus a small absolute allowance so sub-millisecond
-        // jitter on a fast machine cannot flake the check.
+        let budget = gate.budget_pct;
         assert!(
-            best_on as f64 <= best_off as f64 * 1.01 + 500.0,
-            "PROFILE OVERHEAD BUDGET EXCEEDED on {pattern}: sampler-on runs are \
-             {:.2}% slower than sampler-off (budget: 1%)",
-            (ratio - 1.0) * 100.0
+            on as f64 <= off as f64 * (1.0 + budget as f64 / 100.0) + 500.0,
+            "{} OVERHEAD BUDGET EXCEEDED{on_pattern}: {} runs are {:.2}% slower than {} \
+             (budget: {budget}%)",
+            gate.name.to_uppercase(),
+            gate.runs[1],
+            (ratio - 1.0) * 100.0,
+            gate.runs[0]
         );
-        println!("profile overhead ({pattern}) within the 1% budget");
-    }
-}
-
-/// `--analysis-overhead`: time the point-probe and subslab-scan
-/// workloads with the per-statement interval bounds-analysis pass
-/// globally off vs. on (the default) and fail loudly if either
-/// analysis-on wall time exceeds analysis-off by more than 2%. The
-/// toggle also disables the elision fast path the pass feeds, so this
-/// measures the full feature against a plain bounds-checked evaluator:
-/// one compiled-term walk per statement, paid back by every subscript
-/// that skips its runtime range comparisons.
-fn analysis_overhead_check(path: &str) {
-    const TRIALS: usize = 7;
-    const ITERS: usize = 40;
-    let patterns: [(&str, &str); 2] = [
-        ("point-probe", "T[5000, 2, 2]"),
-        ("subslab-scan", "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }"),
-    ];
-
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
-
-    for (pattern, query) in patterns {
-        let time_iters = |s: &mut Session| -> u128 {
-            let t0 = Instant::now();
-            for _ in 0..ITERS {
-                s.eval_query(query).expect("query");
-            }
-            t0.elapsed().as_micros()
-        };
-
-        let mut s_off = make_session();
-        let mut s_on = make_session();
-        // Warm-up: chunk caches, file cache, branch predictors.
-        time_iters(&mut s_off);
-        time_iters(&mut s_on);
-
-        let mut best_off = u128::MAX;
-        let mut best_on = u128::MAX;
-        for _ in 0..TRIALS {
-            aql_core::eval::bounds::set_enabled(false);
-            best_off = best_off.min(time_iters(&mut s_off));
-            aql_core::eval::bounds::set_enabled(true);
-            best_on = best_on.min(time_iters(&mut s_on));
-        }
-        aql_core::eval::bounds::set_enabled(true);
-
-        let ratio = best_on as f64 / best_off as f64;
-        println!(
-            "analysis overhead ({pattern}): off {best_off}µs vs on {best_on}µs \
-             (best of {TRIALS} × {ITERS} queries) — ratio {ratio:.4}"
-        );
-        // 2% relative plus a small absolute allowance so sub-millisecond
-        // jitter on a fast machine cannot flake the check.
-        assert!(
-            best_on as f64 <= best_off as f64 * 1.02 + 500.0,
-            "ANALYSIS OVERHEAD BUDGET EXCEEDED on {pattern}: analysis-on runs are \
-             {:.2}% slower than analysis-off (budget: 2%)",
-            (ratio - 1.0) * 100.0
-        );
-        println!("analysis overhead ({pattern}) within the 2% budget");
+        println!("{} overhead{label} within the {budget}% budget", gate.name);
     }
 }
 
@@ -732,15 +509,6 @@ fn measure_elision_pair(path: &str) -> Vec<Row> {
     const ITERS: usize = 40;
     let query = "max!{ T[4000 + t, i, j] | \\t <- gen!200, \\i <- gen!5, \\j <- gen!5 }";
 
-    let make_session = || {
-        let mut s = Session::new();
-        s.register_reader("NC", Rc::new(reader_lazy_4m()));
-        s.run(&format!(
-            "readval \\T using NC at (\"{path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-        ))
-        .expect("bind");
-        s
-    };
     let time_iters = |s: &mut Session| -> u128 {
         let t0 = Instant::now();
         for _ in 0..ITERS {
@@ -753,7 +521,7 @@ fn measure_elision_pair(path: &str) -> Vec<Row> {
     for (config, enabled) in [("elision-off", false), ("elision-on", true)] {
         aql_core::eval::bounds::set_enabled(enabled);
         let before = aql_store::stats::global();
-        let mut s = make_session();
+        let mut s = bind(path, reader_lazy_4m());
         time_iters(&mut s); // Warm-up: afterwards the cache holds the window.
         let mut best = u128::MAX;
         for _ in 0..TRIALS {
@@ -780,13 +548,8 @@ fn measure_elision_pair(path: &str) -> Vec<Row> {
 fn measure_aqf_save(nc_path: &str, aqf_path: &str) -> Row {
     let before = aql_store::stats::global();
     let t0 = Instant::now();
-    let mut s = Session::new();
-    s.register_reader("NC", Rc::new(reader_lazy_4m()));
+    let mut s = bind(nc_path, reader_lazy_4m());
     register_aqf(&mut s);
-    s.run(&format!(
-        "readval \\T using NC at (\"{nc_path}\", \"temp\", (0, 0, 0), (8759, 4, 4));"
-    ))
-    .expect("bind");
     s.run(&format!("writeval T using AQF at \"{aqf_path}\";")).expect("save");
     let micros = t0.elapsed().as_micros();
     let delta = aql_store::stats::global().delta_since(&before);
@@ -859,33 +622,8 @@ fn main() {
     write_file(&year_temp_file().expect("synth"), &path, VERSION_CLASSIC).expect("write");
     let path = path.to_str().expect("utf-8 path").to_string();
 
-    if std::env::args().any(|a| a == "--trace-overhead") {
-        trace_overhead_check(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
-    if std::env::args().any(|a| a == "--metrics-overhead") {
-        metrics_overhead_check(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
-    if std::env::args().any(|a| a == "--resilience-overhead") {
-        resilience_overhead_check(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
-    if std::env::args().any(|a| a == "--journal-overhead") {
-        journal_overhead_check(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
-    if std::env::args().any(|a| a == "--profile-overhead") {
-        profile_overhead_check(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
-    if std::env::args().any(|a| a == "--analysis-overhead") {
-        analysis_overhead_check(&path);
+    if let Some(gate) = gates().iter().find(|g| std::env::args().any(|a| a == g.flag)) {
+        run_gate(gate, &path);
         std::fs::remove_dir_all(&dir).ok();
         return;
     }

@@ -139,11 +139,6 @@ impl Limits {
 
 /// Aggregate statistics for one evaluation: steps consumed plus the
 /// chunk-cache activity of any lazy arrays the query touched.
-///
-/// The cache counters are a *delta* over `aql-store`'s thread-local
-/// aggregate, captured between context construction and the
-/// [`EvalCtx::stats`] call — so they attribute exactly the I/O this
-/// evaluation caused (the runtime is single-threaded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Evaluation steps (AST node visits).
@@ -157,7 +152,11 @@ pub struct EvalStats {
     /// array literals, and `index` (the sites governed by
     /// `Limits::max_elems`).
     pub materialized: u64,
-    /// Chunk-cache counters attributable to this evaluation.
+    /// Chunk-cache counters attributable to the statement. The session
+    /// fills them from the statement's attribution ledger
+    /// (`aql_store::CacheStats::from_ledger`); a bare [`EvalCtx`]
+    /// leaves them zero — measure a before/after delta of
+    /// `aql_store::stats::global()` to price a direct evaluation.
     pub cache: aql_store::CacheStats,
 }
 
@@ -197,9 +196,6 @@ pub struct EvalCtx<'a> {
     subscripts: Cell<u64>,
     elided: Cell<u64>,
     materialized: Cell<u64>,
-    /// Snapshot of the global chunk-cache counters at construction;
-    /// [`EvalCtx::stats`] reports the delta since.
-    cache_base: aql_store::CacheStats,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -214,7 +210,6 @@ impl<'a> EvalCtx<'a> {
             subscripts: Cell::new(0),
             elided: Cell::new(0),
             materialized: Cell::new(0),
-            cache_base: aql_store::stats::global(),
         }
     }
 
@@ -231,15 +226,15 @@ impl<'a> EvalCtx<'a> {
         self.steps.get()
     }
 
-    /// Statistics for the evaluation driven through this context:
-    /// steps plus the chunk-cache activity since construction.
+    /// Evaluation counters for the evaluation driven through this
+    /// context (`cache` stays zero; see [`EvalStats::cache`]).
     pub fn stats(&self) -> EvalStats {
         EvalStats {
             steps: self.steps.get(),
             subscripts: self.subscripts.get(),
             elided: self.elided.get(),
             materialized: self.materialized.get(),
-            cache: aql_store::stats::global().delta_since(&self.cache_base),
+            cache: aql_store::CacheStats::default(),
         }
     }
 

@@ -1,10 +1,10 @@
 //! Per-query resource attribution.
 //!
 //! While a statement runs, the session opens a thread-local ledger
-//! ([`begin`]); every store-layer call site that already funnels
-//! counters through `CacheStats` also calls [`note`] with its interned
-//! source label, charging hits/misses/bytes/evictions/retries to the
-//! query *and* the source that actually moved them. [`finish`] closes
+//! ([`begin`]); the store's event stream (`aql_store::event`) calls
+//! [`note`] with each event's interned source label, charging
+//! hits/misses/bytes/evictions/retries/breaker trips to the query
+//! *and* the source that actually moved them. [`finish`] closes
 //! the ledger and resolves labels to strings.
 //!
 //! The hot path is one `Cell<bool>` read when no ledger is open —
@@ -38,6 +38,8 @@ pub struct SourceCounts {
     pub load_errors: u64,
     /// Read retries spent on this source.
     pub retries: u64,
+    /// Circuit-breaker trips on this source.
+    pub trips: u64,
 }
 
 impl SourceCounts {
@@ -77,13 +79,18 @@ impl Ledger {
         self.sources.iter().map(|(_, c)| c.retries).sum()
     }
 
+    /// Sum of breaker trips across sources.
+    pub fn total_trips(&self) -> u64 {
+        self.sources.iter().map(|(_, c)| c.trips).sum()
+    }
+
     /// The ledger as a JSON object (incident files, `QueryReport`).
     pub fn to_json_value(&self) -> Json {
         let sources = Json::Arr(
             self.sources
                 .iter()
                 .map(|(label, c)| {
-                    Json::Obj(vec![
+                    let mut row = vec![
                         ("label".to_string(), Json::Str(label.clone())),
                         ("hits".to_string(), Json::Num(c.hits as f64)),
                         ("chunks_loaded".to_string(), Json::Num(c.chunks_loaded as f64)),
@@ -95,7 +102,13 @@ impl Ledger {
                         ("evictions".to_string(), Json::Num(c.evictions as f64)),
                         ("load_errors".to_string(), Json::Num(c.load_errors as f64)),
                         ("retries".to_string(), Json::Num(c.retries as f64)),
-                    ])
+                    ];
+                    // Written only when nonzero, so trip-free ledgers
+                    // keep their layout; absent parses as 0.
+                    if c.trips > 0 {
+                        row.push(("trips".to_string(), Json::Num(c.trips as f64)));
+                    }
+                    Json::Obj(row)
                 })
                 .collect(),
         );
@@ -150,6 +163,7 @@ impl Ledger {
                     evictions: num(s, "evictions"),
                     load_errors: num(s, "load_errors"),
                     retries: num(s, "retries"),
+                    trips: num(s, "trips"),
                 },
             ));
         }
@@ -173,9 +187,13 @@ impl Ledger {
             out.push_str("sources:\n");
             for (label, c) in &self.sources {
                 let shown = if label.is_empty() { "(unlabeled)" } else { label };
+                let trips = match c.trips {
+                    0 => String::new(),
+                    n => format!(", {n} breaker trips"),
+                };
                 out.push_str(&format!(
                     "  {shown}: {} hits, {} loaded ({} B read, {} B prefetched), \
-                     {} evicted, {} load errors, {} retries\n",
+                     {} evicted, {} load errors, {} retries{trips}\n",
                     c.hits,
                     c.chunks_loaded,
                     c.bytes_read,
@@ -337,12 +355,45 @@ mod tests {
                 evictions: 1,
                 load_errors: 0,
                 retries: 2,
+                trips: 1,
             },
         ));
         ledger.phases.push(("eval".to_string(), 1_500_000));
         ledger.governor_peak_bytes = 1 << 20;
         let back = Ledger::from_json_value(&ledger.to_json_value()).expect("parse");
         assert_eq!(back, ledger);
+    }
+
+    #[test]
+    fn trips_round_trip_and_default_to_zero() {
+        let mut ledger = Ledger::default();
+        let tripped = SourceCounts { retries: 1, trips: 2, ..Default::default() };
+        ledger.sources.push(("netcdf:a".to_string(), tripped));
+        ledger.sources.push(("netcdf:b".to_string(), SourceCounts::default()));
+        let text = ledger.to_json_value().write();
+        assert_eq!(text.matches("\"trips\"").count(), 1, "only nonzero trips are written");
+        let back = Ledger::from_json_value(&Json::parse(&text).expect("json")).expect("parse");
+        assert_eq!(back, ledger);
+        assert_eq!(back.total_trips(), 2);
+        // A ledger written before trips were counted has no key at all.
+        let old = r#"{"sources":[{"label":"mem","hits":1,"chunks_loaded":0,"bytes_read":0,
+            "prefetched_bytes":0,"evictions":0,"load_errors":0,"retries":3}],"phases":[]}"#;
+        let old = Ledger::from_json_value(&Json::parse(old).expect("json")).expect("parse");
+        assert_eq!(old.sources[0].1.trips, 0);
+        assert_eq!(old.sources[0].1.retries, 3);
+    }
+
+    #[test]
+    fn render_shows_trips_only_when_a_breaker_tripped() {
+        let mut ledger = Ledger::default();
+        ledger.sources.push(("mem".to_string(), SourceCounts { retries: 2, ..Default::default() }));
+        let quiet = ledger.render();
+        assert!(
+            quiet.contains("0 load errors, 2 retries\n"),
+            "trip-free rows keep their text: {quiet}"
+        );
+        ledger.sources[0].1.trips = 1;
+        assert!(ledger.render().contains("2 retries, 1 breaker trips\n"));
     }
 
     #[test]

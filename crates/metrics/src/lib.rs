@@ -442,6 +442,15 @@ impl LazyCounter {
         self.add(1);
     }
 
+    /// Add `delta` to this family's series labeled `labels`, registered
+    /// on first use under the family's help text; no-op when disabled
+    /// or zero. Each call looks the series up, so keep it off hot paths.
+    pub fn add_labeled(&self, labels: &[(&str, &str)], delta: u64) {
+        if delta > 0 && enabled() {
+            counter_with(self.name, labels, self.help).add(delta);
+        }
+    }
+
     /// Current total.
     pub fn get(&self) -> u64 {
         self.counter().get()

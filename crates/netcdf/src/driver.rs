@@ -26,6 +26,7 @@ use aql_lang::errors::LangError;
 use aql_lang::reader::Reader;
 use aql_lang::session::Session;
 
+use aql_store::event::{self, Event, Label};
 use aql_store::{
     ChunkFaultPlan, ChunkLayout, ChunkSource, FaultyChunkSource, LazyArray, ResiliencePolicy,
     ResilientSource, ScalarKind,
@@ -51,23 +52,21 @@ where
     S: IoSource,
     F: FnMut() -> Result<S, NcError>,
 {
-    static M_HYPERSLABS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-        "aql_netcdf_hyperslab_requests_total",
-        "Hyperslab read requests issued to NetCDF sources.",
-    );
     let _span = aql_trace::span("netcdf.hyperslab");
-    aql_trace::count("netcdf.hyperslab_requests", 1);
-    M_HYPERSLABS.inc();
+    event::emit(&Label::NONE, Event::HyperslabRequest);
     aql_trace::note("var", || var.to_string());
     // Lazily bound sources get retry events from the resilience stack;
-    // the eager path retries here, so it stamps the flight recorder
-    // itself — `\doctor`'s retry timeline covers both modes.
+    // the eager path retries here, so it emits them itself — charged
+    // to the same `netcdf:<var>` label, so `\doctor`'s timeline and
+    // `\attr`'s ledger cover both modes. The label is built on the
+    // first retry only.
     let mut attempt: u64 = 0;
+    let mut label = None;
     retry(|| {
         attempt += 1;
-        if attempt > 1 && aql_journal::enabled() {
-            let label = aql_journal::intern(&format!("netcdf:{var}"));
-            aql_journal::record(aql_journal::Tag::Retry, label, attempt, 0);
+        if attempt > 1 {
+            let label = label.get_or_insert_with(|| Label::new(format!("netcdf:{var}")));
+            event::emit(label, Event::SlabRetry(attempt));
         }
         let mut reader = SlabReader::from_source(open()?)?;
         reader.read_slab(var, start, count)
@@ -535,6 +534,7 @@ mod tests {
         // First attempt hits an injected transient error; the retry
         // reopens a clean source and succeeds.
         let mut attempts = 0;
+        aql_journal::attr::begin();
         let vals = read_slab_retrying(
             || {
                 attempts += 1;
@@ -550,8 +550,14 @@ mod tests {
             &[2],
         )
         .unwrap();
+        let ledger = aql_journal::attr::finish();
         assert_eq!(vals, NcValues::Int(vec![2, 3]));
         assert_eq!(attempts, 2);
+
+        // ...and in the statement's attribution ledger, so `\attr`
+        // agrees with `\doctor` about eager retries.
+        let row = ledger.sources.iter().find(|(l, _)| l == "netcdf:v");
+        assert_eq!(row.map(|(_, c)| c.retries), Some(1), "{ledger:?}");
 
         // The retried attempt must land in the flight recorder with
         // the variable's label, so `\doctor` can see eager-mode

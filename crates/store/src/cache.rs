@@ -5,9 +5,10 @@ use std::rc::Rc;
 
 use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
+use crate::event::{self, Event, Label};
 use crate::governor;
 use crate::interrupt;
-use crate::stats::{self, CacheStats};
+use crate::stats::CacheStats;
 
 struct Entry {
     buf: Rc<ScalarBuf>,
@@ -50,8 +51,9 @@ pub enum Loaded {
 /// only misses) poll [`interrupt::check`] so
 /// a statement blocked on I/O honors its deadline and cancellation.
 ///
-/// All counter increments are mirrored into the thread-local aggregate
-/// readable via [`stats::global`].
+/// Every counter increment is one [`event::emit`], so the thread-local
+/// aggregate ([`crate::stats::global`]), metrics, trace, journal and
+/// attribution ledger all see it.
 pub struct ChunkCache {
     budget: u64,
     map: HashMap<u64, Entry>,
@@ -59,10 +61,8 @@ pub struct ChunkCache {
     tick: u64,
     bytes: u64,
     stats: CacheStats,
-    label: Option<Box<str>>,
-    /// The label interned for the flight recorder / attribution ledger
-    /// (0 = unlabeled).
-    jlabel: u16,
+    /// The source events are charged to ([`Label::NONE`] = unlabeled).
+    label: Label,
 }
 
 impl ChunkCache {
@@ -75,8 +75,7 @@ impl ChunkCache {
             tick: 0,
             bytes: 0,
             stats: CacheStats::default(),
-            label: None,
-            jlabel: 0,
+            label: Label::NONE,
         }
     }
 
@@ -87,20 +86,18 @@ impl ChunkCache {
     /// unlabeled process totals.
     pub fn labeled(budget_bytes: u64, label: impl Into<String>) -> ChunkCache {
         let mut cache = ChunkCache::new(budget_bytes);
-        let label = label.into();
-        cache.jlabel = aql_journal::intern(&label);
-        cache.label = Some(label.into_boxed_str());
+        cache.label = Label::new(label);
         cache
     }
 
     /// The source label miss-path I/O is attributed to, if any.
     pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
+        Some(self.label.name()).filter(|l| !l.is_empty())
     }
 
-    /// The interned flight-recorder id of this cache's label.
-    pub(crate) fn jlabel(&self) -> u16 {
-        self.jlabel
+    /// The label this cache's events are charged to.
+    pub(crate) fn source_label(&self) -> &Label {
+        &self.label
     }
 
     /// The configured byte budget.
@@ -151,7 +148,7 @@ impl ChunkCache {
             entry.tick = tick;
             self.order.insert(tick, id);
             let buf = Rc::clone(&entry.buf);
-            self.bump(CacheStats { hits: 1, ..Default::default() });
+            self.note(Event::CacheHit);
             return Ok(buf);
         }
         // Miss path only: a statement blocked on I/O must notice its
@@ -161,16 +158,16 @@ impl ChunkCache {
             Ok(Loaded::Source(buf)) => (Rc::new(buf), false),
             Ok(Loaded::Warm(buf)) => (Rc::new(buf), true),
             Err(e) => {
-                self.bump(CacheStats { misses: 1, load_errors: 1, ..Default::default() });
+                self.note(Event::CacheLoadError);
                 return Err(e);
             }
         };
         let loaded = buf.byte_len();
-        if warm {
-            self.bump(CacheStats { misses: 1, prefetched_bytes: loaded, ..Default::default() });
+        self.note(if warm {
+            Event::CacheWarm(loaded)
         } else {
-            self.bump(CacheStats { misses: 1, bytes_read: loaded, ..Default::default() });
-        }
+            Event::CacheLoad(loaded)
+        });
         // Process-wide admission: shed own residency before denying
         // (DESIGN.md §12 degradation order). A denial fails this one
         // load; everything already cached stays valid.
@@ -196,13 +193,8 @@ impl ChunkCache {
             }
             let victim = self.order.iter().map(|(&t, &c)| (t, c)).next();
             let Some((t, c)) = victim else { return false };
-            self.order.remove(&t);
-            let entry = self.map.remove(&c).expect("order and map agree");
-            let freed = entry.buf.byte_len();
-            self.bytes -= freed;
-            governor::release(freed);
-            governor::note_shed();
-            self.bump(CacheStats { evictions: 1, ..Default::default() });
+            event::emit(&Label::NONE, Event::GovernorShed);
+            self.evict(t, c);
         }
     }
 
@@ -215,65 +207,26 @@ impl ChunkCache {
                 .map(|(&t, &c)| (t, c))
                 .find(|&(_, c)| c != keep);
             let Some((t, c)) = victim else { break };
-            self.order.remove(&t);
-            let entry = self.map.remove(&c).expect("order and map agree");
-            let freed = entry.buf.byte_len();
-            self.bytes -= freed;
-            governor::release(freed);
-            self.bump(CacheStats { evictions: 1, ..Default::default() });
+            self.evict(t, c);
         }
     }
 
-    fn bump(&mut self, delta: CacheStats) {
-        self.stats.hits += delta.hits;
-        self.stats.misses += delta.misses;
-        self.stats.evictions += delta.evictions;
-        self.stats.bytes_read += delta.bytes_read;
-        self.stats.prefetched_bytes += delta.prefetched_bytes;
-        self.stats.load_errors += delta.load_errors;
-        stats::global_add(delta);
-        if delta.bytes_read > 0 || delta.prefetched_bytes > 0 || delta.load_errors > 0 {
-            if let Some(label) = &self.label {
-                stats::note_labeled(
-                    label,
-                    delta.bytes_read,
-                    delta.prefetched_bytes,
-                    delta.load_errors,
-                );
-            }
-        }
-        // Flight recorder: hits coalesce into a thread-local pending
-        // count; everything else is one ring write.
-        if aql_journal::enabled() {
-            use aql_journal::Tag;
-            if delta.hits > 0 {
-                aql_journal::cache_hit(self.jlabel);
-            }
-            if delta.bytes_read > 0 {
-                aql_journal::record(Tag::CacheMiss, self.jlabel, delta.bytes_read, 0);
-            }
-            if delta.prefetched_bytes > 0 {
-                aql_journal::record(Tag::CacheWarm, self.jlabel, delta.prefetched_bytes, 0);
-            }
-            if delta.load_errors > 0 {
-                aql_journal::record(Tag::CacheLoadError, self.jlabel, delta.load_errors, 0);
-            }
-            if delta.evictions > 0 {
-                aql_journal::record(Tag::CacheEvict, self.jlabel, delta.evictions, 0);
-            }
-        }
-        // Per-query attribution: charge the open statement ledger, per
-        // source label. One Cell read when no statement is running.
-        if aql_journal::attr::active() {
-            aql_journal::attr::note(self.jlabel, |c| {
-                c.hits += delta.hits;
-                c.chunks_loaded += delta.misses.saturating_sub(delta.load_errors);
-                c.bytes_read += delta.bytes_read;
-                c.prefetched_bytes += delta.prefetched_bytes;
-                c.evictions += delta.evictions;
-                c.load_errors += delta.load_errors;
-            });
-        }
+    /// Drop chunk `id` (at recency `tick`), give its governed bytes
+    /// back, and emit the eviction.
+    fn evict(&mut self, tick: u64, id: u64) {
+        self.order.remove(&tick);
+        let entry = self.map.remove(&id).expect("order and map agree");
+        let freed = entry.buf.byte_len();
+        self.bytes -= freed;
+        governor::release(freed);
+        self.note(Event::CacheEvict);
+    }
+
+    /// Count `event` in this cache's own stats and emit it.
+    #[inline(always)]
+    fn note(&mut self, event: Event) {
+        self.stats.fold(event);
+        event::emit(&self.label, event);
     }
 }
 

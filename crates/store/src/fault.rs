@@ -31,13 +31,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::buffer::ScalarBuf;
 use crate::error::StoreError;
+use crate::event::{self, Event, Label};
 use crate::interrupt;
 use crate::source::ChunkSource;
-
-static M_INJECTED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_chaos_injected_total",
-    "Faults injected by FaultyChunkSource (errors, corruption, latency).",
-);
 
 /// A checksum of a chunk payload: FNV-1a over the buffer's element
 /// kind, length, and byte representation. Not cryptographic — it only
@@ -210,13 +206,12 @@ pub struct FaultyChunkSource<S> {
     inner: S,
     plan: ChunkFaultPlan,
     op: u64,
-    injected: u64,
 }
 
 impl<S: ChunkSource> FaultyChunkSource<S> {
     /// Wrap `inner` under `plan`.
     pub fn new(inner: S, plan: ChunkFaultPlan) -> FaultyChunkSource<S> {
-        FaultyChunkSource { inner, plan, op: 0, injected: 0 }
+        FaultyChunkSource { inner, plan, op: 0 }
     }
 
     /// Read operations seen so far.
@@ -224,22 +219,9 @@ impl<S: ChunkSource> FaultyChunkSource<S> {
         self.op
     }
 
-    /// Faults injected so far (errors, corruptions, and delays).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// The wrapped source.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    fn note_injected(&mut self, kind: &'static str) {
-        self.injected += 1;
-        M_INJECTED.inc();
-        if aql_trace::enabled() {
-            aql_trace::count_with(|| format!("chaos.injected:{kind}"), 1);
-        }
     }
 }
 
@@ -266,24 +248,24 @@ impl<S: ChunkSource> ChunkSource for FaultyChunkSource<S> {
         self.op += 1;
         match self.plan.decide(op) {
             Some(Fault::Transient) => {
-                self.note_injected("transient");
+                event::emit(&Label::NONE, Event::FaultInjected("transient"));
                 Err(StoreError::Io {
                     message: format!("injected transient fault at op {op}"),
                     transient: true,
                 })
             }
             Some(Fault::Persistent) => {
-                self.note_injected("persistent");
+                event::emit(&Label::NONE, Event::FaultInjected("persistent"));
                 Err(StoreError::io(format!("injected persistent fault at op {op}")))
             }
             Some(Fault::Corrupt) => {
-                self.note_injected("corrupt");
+                event::emit(&Label::NONE, Event::FaultInjected("corrupt"));
                 let mut buf = self.inner.read_chunk(start, count)?;
                 corrupt_in_place(&mut buf, op);
                 Ok(buf)
             }
             Some(Fault::Latency) => {
-                self.note_injected("latency");
+                event::emit(&Label::NONE, Event::FaultInjected("latency"));
                 interrupt::sleep(self.plan.latency)?;
                 self.inner.read_chunk(start, count)
             }
@@ -369,11 +351,14 @@ mod tests {
             ..ChunkFaultPlan::default()
         };
         let mut src = FaultyChunkSource::new(ConstSource(7.0), plan);
+        aql_trace::enable();
         let e0 = src.read_chunk(&[0], &[4]).expect_err("op 0 transient");
         assert!(e0.is_transient());
         let e1 = src.read_chunk(&[0], &[4]).expect_err("op 1 persistent");
         assert!(!e1.is_transient());
-        assert_eq!(src.injected(), 2);
+        let t = aql_trace::disable();
+        assert_eq!(t.total_counter("chaos.injected:transient"), 1);
+        assert_eq!(t.total_counter("chaos.injected:persistent"), 1);
     }
 
     #[test]

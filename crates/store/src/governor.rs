@@ -27,15 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::StoreError;
-
-static M_DENIALS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_governor_denials_total",
-    "Byte-budget charges denied after shedding (surfaced as ResourceExhausted).",
-);
-static M_SHEDS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_governor_sheds_total",
-    "Cache entries evicted to make room under the process byte budget.",
-);
+use crate::event::{self, Event, Label};
 
 /// A byte ledger: a budget plus the bytes currently charged against
 /// it. The process governor is one static `Ledger`; the struct is
@@ -196,30 +188,10 @@ pub(crate) fn release(bytes: u64) {
     GLOBAL.release(bytes)
 }
 
-/// Record one shed eviction (a cache entry dropped to make room under
-/// the process budget, as opposed to the cache's own LRU budget).
-pub(crate) fn note_shed() {
-    M_SHEDS.inc();
-    if aql_trace::enabled() {
-        aql_trace::count("governor.sheds", 1);
-    }
-    if aql_journal::enabled() {
-        aql_journal::record(aql_journal::Tag::GovernorShed, 0, 0, 0);
-    }
-    aql_journal::attr::note_shed();
-}
-
 /// Build the denial error for a charge that failed even after
-/// shedding, recording it in the process metrics.
+/// shedding, emitting the denial event.
 pub(crate) fn deny(requested: u64) -> StoreError {
-    M_DENIALS.inc();
-    if aql_trace::enabled() {
-        aql_trace::count("governor.denials", 1);
-    }
-    if aql_journal::enabled() {
-        aql_journal::record(aql_journal::Tag::GovernorDeny, 0, requested, 0);
-    }
-    aql_journal::attr::note_denial();
+    event::emit(&Label::NONE, Event::GovernorDeny(requested));
     StoreError::Budget { requested, budget: GLOBAL.budget.load(Ordering::Relaxed) }
 }
 

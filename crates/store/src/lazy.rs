@@ -97,9 +97,9 @@ impl LazyArray {
     /// reported to it, and misses consult its warm pool before going
     /// to the source. Replaces (and shuts down) any previous one.
     pub fn attach_prefetcher(&mut self, prefetcher: Prefetcher) {
-        // The worker's flight-recorder events carry the owning
-        // binding's source label, not whatever statement is running.
-        prefetcher.set_journal_label(self.cache.jlabel());
+        // The worker's events carry the owning binding's source label,
+        // not whatever statement is running.
+        prefetcher.set_label(self.cache.source_label().clone());
         self.prefetch = Some(prefetcher);
     }
 

@@ -17,10 +17,11 @@
 //! can implement [`ChunkSource`] against its own byte format.
 //!
 //! Every cache records [`CacheStats`] — hits, misses, evictions, bytes
-//! read, load errors — and mirrors them into a thread-local aggregate
-//! ([`stats::global`]) so an evaluator can report the I/O cost of a
-//! query as a before/after delta without threading a handle through
-//! every array.
+//! read, load errors. Each instrumented storage occurrence (cache,
+//! governor, resilience, prefetch, NetCDF I/O) is one [`event::Event`]
+//! emitted once; the thread-local aggregate ([`stats::global`]),
+//! metrics, trace counters, flight recorder and attribution ledger are
+//! folds over that stream.
 //!
 //! ## Resilience (DESIGN.md §12)
 //!
@@ -45,6 +46,7 @@
 pub mod buffer;
 pub mod cache;
 pub mod error;
+pub mod event;
 pub mod fault;
 pub mod governor;
 pub mod interrupt;

@@ -40,28 +40,16 @@
 //! [`RemoteChunkSource`]: crate::RemoteChunkSource
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::buffer::ScalarBuf;
+use crate::event::{self, Event, Label};
 use crate::governor;
 use crate::interrupt;
 use crate::layout::ChunkLayout;
 use crate::source::ChunkSource;
-
-static M_ISSUED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_issued_total",
-    "Chunk loads requested speculatively by the read-ahead predictor.",
-);
-static M_HITS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_hits_total",
-    "Chunk misses served from the prefetch warm pool instead of the source.",
-);
-static M_WASTED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_prefetch_wasted_total",
-    "Speculatively loaded chunks discarded without ever being consumed.",
-);
 
 /// Tuning knobs for a [`Prefetcher`].
 #[derive(Debug, Clone, Copy)]
@@ -117,14 +105,14 @@ struct Shared {
     issued: AtomicU64,
     hits: AtomicU64,
     wasted: AtomicU64,
-    /// Interned flight-recorder label of the owning binding's source,
-    /// so worker-thread events are attributable (0 = unlabeled).
-    jlabel: AtomicU32,
+    /// The owning binding's source label, so worker-thread events are
+    /// attributable (unset = unlabeled).
+    label: OnceLock<Label>,
 }
 
 impl Shared {
-    fn jlabel(&self) -> u16 {
-        self.jlabel.load(Ordering::Relaxed) as u16
+    fn label(&self) -> &Label {
+        self.label.get().unwrap_or(&Label::NONE)
     }
 }
 
@@ -135,10 +123,7 @@ impl Shared {
         state.ready_bytes -= bytes;
         governor::release(bytes);
         self.wasted.fetch_add(1, Ordering::Relaxed);
-        M_WASTED.inc();
-        if aql_journal::enabled() {
-            aql_journal::record(aql_journal::Tag::PrefetchWasted, self.jlabel(), 1, 0);
-        }
+        event::emit(self.label(), Event::PrefetchWasted);
     }
 }
 
@@ -221,7 +206,7 @@ impl Prefetcher {
             issued: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             wasted: AtomicU64::new(0),
-            jlabel: AtomicU32::new(0),
+            label: OnceLock::new(),
         });
         let num_chunks = layout.num_chunks();
         let worker = {
@@ -240,12 +225,10 @@ impl Prefetcher {
         Prefetcher { shared, worker, predictor: Predictor::default(), config, num_chunks }
     }
 
-    /// Attribute this prefetcher's flight-recorder events to the
-    /// interned label of the owning binding's source (see
-    /// [`aql_journal::intern`]). Set by the cache the prefetcher is
-    /// attached to.
-    pub fn set_journal_label(&self, label: u16) {
-        self.shared.jlabel.store(label as u32, Ordering::Relaxed);
+    /// Charge this prefetcher's events to the owning binding's source
+    /// label. Set once, by the array the prefetcher is attached to.
+    pub fn set_label(&self, label: Label) {
+        let _ = self.shared.label.set(label);
     }
 
     /// Report an access to `chunk` (hit or miss). When the predictor
@@ -272,18 +255,7 @@ impl Prefetcher {
         }
         if issued > 0 {
             self.shared.issued.fetch_add(issued, Ordering::Relaxed);
-            M_ISSUED.add(issued);
-            if aql_trace::enabled() {
-                aql_trace::count("prefetch.issued", issued);
-            }
-            if aql_journal::enabled() {
-                aql_journal::record(
-                    aql_journal::Tag::PrefetchIssued,
-                    self.shared.jlabel(),
-                    issued,
-                    0,
-                );
-            }
+            event::emit(self.shared.label(), Event::PrefetchIssued(issued));
             self.shared.work.notify_one();
         }
     }
@@ -302,10 +274,7 @@ impl Prefetcher {
         // first so a tight budget does not double-count the handoff.
         governor::release(bytes);
         self.shared.hits.fetch_add(1, Ordering::Relaxed);
-        M_HITS.inc();
-        if aql_trace::enabled() {
-            aql_trace::count("prefetch.hits", 1);
-        }
+        event::emit(self.shared.label(), Event::PrefetchHit);
         Some(buf)
     }
 
@@ -336,7 +305,13 @@ impl Prefetcher {
 
 impl Drop for Prefetcher {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        // Set `stop` under the state lock: the worker checks it under
+        // the same lock before waiting, so the store cannot land
+        // between that check and the wait and leave the notify unheard.
+        {
+            let _state = self.shared.state.lock().expect("prefetch lock");
+            self.shared.stop.store(true, Ordering::Relaxed);
+        }
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -395,10 +370,7 @@ fn worker_loop(shared: Arc<Shared>, mut source: Box<dyn ChunkSource + Send>, lay
             // (DESIGN.md §12 — real work sheds caches; guesses just
             // give up).
             shared.wasted.fetch_add(1, Ordering::Relaxed);
-            M_WASTED.inc();
-            if aql_journal::enabled() {
-                aql_journal::record(aql_journal::Tag::PrefetchWasted, shared.jlabel(), 1, 0);
-            }
+            event::emit(shared.label(), Event::PrefetchWasted);
             continue;
         }
         let mut state = shared.state.lock().expect("prefetch lock");
@@ -511,6 +483,23 @@ mod tests {
         assert!(pf.take(3).is_none());
         assert!(pf.take(5).is_some());
         assert!(pf.take(6).is_some());
+    }
+
+    #[test]
+    fn spawn_drop_cycles_never_hang() {
+        // Shutdown races the worker's check-`stop`-then-wait: a stop
+        // signalled between the two must not be missed, or `join`
+        // blocks forever. The watchdog turns a hang into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(Prefetcher::spawn(source_1d(8), layout_1d(8, 4), PrefetchConfig::default()));
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a prefetcher shutdown hung: the worker missed the stop signal");
     }
 
     #[test]

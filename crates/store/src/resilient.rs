@@ -35,30 +35,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::buffer::ScalarBuf;
 use crate::error::{FaultClass, StoreError};
+use crate::event::{self, Event, Label};
 use crate::fault::checksum;
 use crate::interrupt;
 use crate::source::ChunkSource;
-
-static M_RETRIES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_resilience_retries_total",
-    "Chunk reads retried after a retryable failure.",
-);
-static M_TRIPS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_trips_total",
-    "Circuit breakers tripped open after consecutive source failures.",
-);
-static M_PROBES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_probes_total",
-    "Half-open probes admitted after a breaker cool-down.",
-);
-static M_FAST_FAILS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_breaker_fast_fails_total",
-    "Chunk reads rejected without touching the source (breaker open).",
-);
-static M_CHECKSUM: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_checksum_mismatch_total",
-    "Chunk payloads rejected because their checksum disagreed with the source's.",
-);
 
 /// Retry policy: exponential backoff with multiplicative jitter.
 ///
@@ -151,30 +131,21 @@ impl std::fmt::Display for BreakerState {
 #[derive(Debug)]
 pub struct CircuitBreaker {
     policy: BreakerPolicy,
-    label: String,
-    jlabel: u16,
+    label: Label,
     state: BreakerState,
     consecutive: u32,
     opened_at: Option<Instant>,
-    trips: u64,
-    probes: u64,
-    fast_fails: u64,
 }
 
 impl CircuitBreaker {
     /// A closed breaker for source `label` under `policy`.
     pub fn new(label: impl Into<String>, policy: BreakerPolicy) -> CircuitBreaker {
-        let label = label.into();
         CircuitBreaker {
             policy: BreakerPolicy { threshold: policy.threshold.max(1), ..policy },
-            jlabel: aql_journal::intern(&label),
-            label,
+            label: Label::new(label),
             state: BreakerState::Closed,
             consecutive: 0,
             opened_at: None,
-            trips: 0,
-            probes: 0,
-            fast_fails: 0,
         }
     }
 
@@ -182,21 +153,6 @@ impl CircuitBreaker {
     /// the outcome callbacks, never asynchronously).
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Times this breaker tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Half-open probes admitted.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Calls rejected while open.
-    pub fn fast_fails(&self) -> u64 {
-        self.fast_fails
     }
 
     /// Gate a call: `Ok` admits it (closed, or half-open probe),
@@ -208,26 +164,12 @@ impl CircuitBreaker {
                 let since = self.opened_at.map_or(Duration::MAX, |t| t.elapsed());
                 if since >= self.policy.cooldown {
                     self.state = BreakerState::HalfOpen;
-                    self.probes += 1;
-                    M_PROBES.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count_with(|| format!("breaker.probe:{}", self.label), 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(aql_journal::Tag::BreakerProbe, self.jlabel, 0, 0);
-                    }
+                    event::emit(&self.label, Event::BreakerProbe);
                     Ok(())
                 } else {
-                    self.fast_fails += 1;
-                    M_FAST_FAILS.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count_with(|| format!("breaker.fast_fail:{}", self.label), 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(aql_journal::Tag::BreakerFastFail, self.jlabel, 0, 0);
-                    }
+                    event::emit(&self.label, Event::BreakerFastFail);
                     Err(StoreError::Unavailable {
-                        source: self.label.clone(),
+                        source: self.label.name().to_string(),
                         retry_after_ms: (self.policy.cooldown - since).as_millis() as u64,
                     })
                 }
@@ -238,8 +180,8 @@ impl CircuitBreaker {
     /// Report a successful source call: closes the breaker and resets
     /// the failure streak.
     pub fn on_success(&mut self) {
-        if self.state != BreakerState::Closed && aql_trace::enabled() {
-            aql_trace::count_with(|| format!("breaker.close:{}", self.label), 1);
+        if self.state != BreakerState::Closed {
+            event::emit(&self.label, Event::BreakerClose);
         }
         self.state = BreakerState::Closed;
         self.consecutive = 0;
@@ -255,14 +197,7 @@ impl CircuitBreaker {
         if trip {
             self.state = BreakerState::Open;
             self.opened_at = Some(Instant::now());
-            self.trips += 1;
-            M_TRIPS.inc();
-            if aql_trace::enabled() {
-                aql_trace::count_with(|| format!("breaker.trip:{}", self.label), 1);
-            }
-            if aql_journal::enabled() {
-                aql_journal::record(aql_journal::Tag::BreakerTrip, self.jlabel, 0, 0);
-            }
+            event::emit(&self.label, Event::BreakerTrip);
         }
     }
 }
@@ -297,31 +232,29 @@ pub struct ResilientSource<S> {
     breaker: Option<CircuitBreaker>,
     verify: bool,
     rng: StdRng,
-    retries: u64,
-    /// Interned flight-recorder id of this source's label, so retry
-    /// events are attributable even when no breaker is configured.
-    jlabel: u16,
+    /// This source's label, so retry events are attributable even when
+    /// no breaker is configured.
+    label: Label,
 }
 
 impl<S: ChunkSource> ResilientSource<S> {
     /// Wrap `inner` (labelled `label` for breaker metrics and errors)
     /// under `policy`.
     pub fn new(inner: S, label: impl Into<String>, policy: ResiliencePolicy) -> ResilientSource<S> {
-        let label = label.into();
+        let label = Label::new(label);
         // Fold the label into the jitter seed so two sources with the
         // same policy do not sleep in lockstep.
         let mut seed = policy.retry.seed ^ 0x5157_4C2D_5245_5452;
-        for b in label.bytes() {
+        for b in label.name().bytes() {
             seed = seed.rotate_left(7) ^ b as u64;
         }
         ResilientSource {
             inner,
             rng: StdRng::seed_from_u64(seed),
-            jlabel: aql_journal::intern(&label),
-            breaker: policy.breaker.map(|p| CircuitBreaker::new(label, p)),
+            breaker: policy.breaker.map(|p| CircuitBreaker::new(label.name(), p)),
+            label,
             retry: RetryPolicy { attempts: policy.retry.attempts.max(1), ..policy.retry },
             verify: policy.verify_checksums,
-            retries: 0,
         }
     }
 
@@ -335,10 +268,6 @@ impl<S: ChunkSource> ResilientSource<S> {
         self.breaker.as_ref()
     }
 
-    /// Retries performed over this source's lifetime.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
 
     /// One admitted attempt: read, then verify if a checksum is
     /// advertised.
@@ -348,10 +277,7 @@ impl<S: ChunkSource> ResilientSource<S> {
             if let Some(want) = self.inner.chunk_checksum(start, count) {
                 let got = checksum(&buf);
                 if got != want {
-                    M_CHECKSUM.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count("chunks.checksum_mismatch", 1);
-                    }
+                    event::emit(&self.label, Event::ChecksumMismatch);
                     return Err(StoreError::Io {
                         message: format!(
                             "chunk checksum mismatch: payload {got:#018x}, source says {want:#018x}"
@@ -401,20 +327,7 @@ impl<S: ChunkSource> ChunkSource for ResilientSource<S> {
                         return Err(checksum_to_corrupt(e, attempt));
                     }
                     attempt += 1;
-                    self.retries += 1;
-                    M_RETRIES.inc();
-                    if aql_trace::enabled() {
-                        aql_trace::count("chunks.retries", 1);
-                    }
-                    if aql_journal::enabled() {
-                        aql_journal::record(
-                            aql_journal::Tag::Retry,
-                            self.jlabel,
-                            attempt as u64,
-                            0,
-                        );
-                    }
-                    aql_journal::attr::note(self.jlabel, |c| c.retries += 1);
+                    event::emit(&self.label, Event::Retry(attempt as u64));
                     interrupt::sleep(self.retry.backoff(attempt, &mut self.rng))?;
                 }
             }
@@ -472,6 +385,14 @@ mod tests {
         }
     }
 
+    /// Run `f` under a fresh trace: the event stream's per-thread
+    /// counters (`chunks.retries`, `breaker.*:<label>`) count what it did.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, aql_trace::Trace) {
+        aql_trace::enable();
+        let out = f();
+        (out, aql_trace::disable())
+    }
+
     fn fast_retry() -> RetryPolicy {
         RetryPolicy { base: Duration::ZERO, max: Duration::ZERO, jitter: 0.0, ..RetryPolicy::default() }
     }
@@ -484,9 +405,9 @@ mod tests {
             "t",
             policy,
         );
-        let buf = s.read_chunk(&[0], &[4]).expect("third attempt succeeds");
-        assert_eq!(buf.len(), 4);
-        assert_eq!(s.retries(), 2);
+        let (buf, t) = traced(|| s.read_chunk(&[0], &[4]));
+        assert_eq!(buf.expect("third attempt succeeds").len(), 4);
+        assert_eq!(t.total_counter("chunks.retries"), 2);
         assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Closed);
     }
 
@@ -498,9 +419,9 @@ mod tests {
             "p",
             policy,
         );
-        let err = s.read_chunk(&[0], &[4]).expect_err("fatal fails at once");
-        assert!(!err.is_transient());
-        assert_eq!(s.retries(), 0);
+        let (err, t) = traced(|| s.read_chunk(&[0], &[4]));
+        assert!(!err.expect_err("fatal fails at once").is_transient());
+        assert_eq!(t.total_counter("chunks.retries"), 0);
         assert_eq!(s.inner_mut().calls, 1, "exactly one source call");
     }
 
@@ -516,19 +437,20 @@ mod tests {
             "b",
             policy,
         );
-        for _ in 0..3 {
-            assert!(s.read_chunk(&[0], &[4]).is_err());
-        }
-        let b = s.breaker().expect("breaker on");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        let ((), t) = traced(|| {
+            for _ in 0..3 {
+                assert!(s.read_chunk(&[0], &[4]).is_err());
+            }
+        });
+        assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Open);
+        assert_eq!(t.total_counter("breaker.trip:b"), 1);
         // Zero cool-down: the next call is the half-open probe and the
         // source is healthy again, so the breaker closes.
-        let buf = s.read_chunk(&[0], &[4]).expect("probe succeeds");
-        assert_eq!(buf.len(), 4);
-        let b = s.breaker().expect("breaker on");
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.probes(), 1);
+        let (buf, t) = traced(|| s.read_chunk(&[0], &[4]));
+        assert_eq!(buf.expect("probe succeeds").len(), 4);
+        assert_eq!(s.breaker().expect("breaker on").state(), BreakerState::Closed);
+        assert_eq!(t.total_counter("breaker.probe:b"), 1);
+        assert_eq!(t.total_counter("breaker.close:b"), 1);
     }
 
     #[test]
@@ -545,11 +467,12 @@ mod tests {
         );
         assert!(s.read_chunk(&[0], &[4]).is_err(), "first call trips");
         let calls_after_trip = s.inner_mut().calls;
-        let err = s.read_chunk(&[0], &[4]).expect_err("fast fail");
+        let (err, t) = traced(|| s.read_chunk(&[0], &[4]));
+        let err = err.expect_err("fast fail");
         assert!(matches!(err, StoreError::Unavailable { .. }));
         assert_eq!(err.class(), FaultClass::Retryable, "fast-fail is retry-later");
         assert_eq!(s.inner_mut().calls, calls_after_trip, "source untouched while open");
-        assert_eq!(s.breaker().expect("breaker on").fast_fails(), 1);
+        assert_eq!(t.total_counter("breaker.fast_fail:ff"), 1);
     }
 
     #[test]
@@ -558,14 +481,16 @@ mod tests {
             "re",
             BreakerPolicy { threshold: 2, cooldown: Duration::ZERO },
         );
-        b.on_failure();
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        b.admit().expect("zero cooldown admits probe");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.on_failure();
+        let ((), t) = traced(|| {
+            b.on_failure();
+            b.on_failure();
+            assert_eq!(b.state(), BreakerState::Open);
+            b.admit().expect("zero cooldown admits probe");
+            assert_eq!(b.state(), BreakerState::HalfOpen);
+            b.on_failure();
+        });
         assert_eq!(b.state(), BreakerState::Open, "probe failure re-trips at once");
-        assert_eq!(b.trips(), 2);
+        assert_eq!(t.total_counter("breaker.trip:re"), 2);
     }
 
     #[test]
@@ -597,9 +522,10 @@ mod tests {
             "ck2",
             policy,
         );
-        let buf = s.read_chunk(&[0], &[8]).expect("retry clears the corruption");
-        assert_eq!(buf, ScalarBuf::F64(vec![2.0; 8]));
-        assert_eq!(s.retries(), 1);
+        let (buf, t) = traced(|| s.read_chunk(&[0], &[8]));
+        assert_eq!(buf.expect("retry clears the corruption"), ScalarBuf::F64(vec![2.0; 8]));
+        assert_eq!(t.total_counter("chunks.retries"), 1);
+        assert_eq!(t.total_counter("chunks.checksum_mismatch"), 1);
     }
 
     #[test]

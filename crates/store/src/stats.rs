@@ -1,14 +1,20 @@
 //! Cache instrumentation counters.
 //!
 //! Every [`ChunkCache`](crate::ChunkCache) keeps its own
-//! [`CacheStats`], and mirrors each increment into a **thread-local
-//! aggregate** readable via [`global`]. The aggregate lets an
-//! evaluator report the I/O cost of one query as a before/after delta
-//! ([`CacheStats::delta_since`]) without threading a cache handle
-//! through every array value. The runtime is single-threaded (values
-//! are `Rc`-based), so a thread-local is exact, not approximate.
+//! [`CacheStats`]. Each cache event is also folded into a
+//! **thread-local aggregate** readable via [`global`] — one of the
+//! sinks of the [`event`](crate::event) stream. A caller measures the
+//! I/O cost of any stretch of work on its thread as a before/after
+//! delta ([`CacheStats::delta_since`]) without threading a cache
+//! handle through every array value. The runtime is single-threaded
+//! (values are `Rc`-based), so a thread-local is exact, not
+//! approximate. A session statement's own account comes from its
+//! attribution ledger instead ([`CacheStats::from_ledger`]); the two
+//! agree because both fold the same events.
 
 use std::cell::Cell;
+
+use crate::event::Event;
 
 /// Monotonic counters describing cache behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,6 +50,21 @@ impl CacheStats {
         }
     }
 
+    /// The cache counters of a statement's attribution ledger, summed
+    /// over its sources (`misses` = chunks loaded + load errors).
+    pub fn from_ledger(ledger: &aql_journal::attr::Ledger) -> CacheStats {
+        let mut s = CacheStats::default();
+        for (_, c) in &ledger.sources {
+            s.hits += c.hits;
+            s.misses += c.chunks_loaded + c.load_errors;
+            s.evictions += c.evictions;
+            s.bytes_read += c.bytes_read;
+            s.prefetched_bytes += c.prefetched_bytes;
+            s.load_errors += c.load_errors;
+        }
+        s
+    }
+
     /// Hit rate in `[0, 1]`, or `None` when no lookups happened.
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.misses;
@@ -72,103 +93,15 @@ pub fn global() -> CacheStats {
     GLOBAL.with(|g| g.get())
 }
 
-/// Process-lifetime cache counters, mirrored from every increment:
-/// where [`global`] answers "what did *this statement* cost" via
-/// deltas, these answer "what has this *process* done" for the
-/// `/metrics` endpoint. Cached handles keep the hot path at one flag
-/// read per zero field and one sharded `fetch_add` per nonzero one.
-static M_HITS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_hits_total",
-    "Chunk-cache lookups served from memory.",
-);
-static M_MISSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_misses_total",
-    "Chunk-cache lookups that consulted the chunk source.",
-);
-static M_EVICTIONS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_evictions_total",
-    "Chunks evicted to stay under the byte budget.",
-);
-static M_BYTES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_bytes_read_total",
-    "Payload bytes loaded from chunk sources on misses.",
-);
-static M_LOAD_ERRORS: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_load_errors_total",
-    "Chunk-loader invocations that returned an error.",
-);
-static M_PREFETCHED: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
-    "aql_store_cache_prefetched_bytes_total",
-    "Payload bytes handed over from prefetch warm pools on misses.",
-);
-
-/// Fold `delta` into the thread-local aggregate, mirror it into
-/// the `aql-trace` subscriber (attached to the innermost open span)
-/// when tracing is enabled — so a profiled query's span tree carries
-/// the cache activity it caused without any cache handle plumbing —
-/// and bump the process-lifetime `aql_store_cache_*` metrics.
-pub(crate) fn global_add(delta: CacheStats) {
+/// Fold a cache event into this thread's aggregate (the
+/// [`event`](crate::event) module's first sink).
+#[inline(always)]
+pub(crate) fn fold_global(event: Event) {
     GLOBAL.with(|g| {
-        let cur = g.get();
-        g.set(CacheStats {
-            hits: cur.hits + delta.hits,
-            misses: cur.misses + delta.misses,
-            evictions: cur.evictions + delta.evictions,
-            bytes_read: cur.bytes_read + delta.bytes_read,
-            prefetched_bytes: cur.prefetched_bytes + delta.prefetched_bytes,
-            load_errors: cur.load_errors + delta.load_errors,
-        });
+        let mut cur = g.get();
+        cur.fold(event);
+        g.set(cur);
     });
-    if aql_trace::enabled() {
-        aql_trace::count("cache.hits", delta.hits);
-        aql_trace::count("cache.misses", delta.misses);
-        aql_trace::count("cache.evictions", delta.evictions);
-        aql_trace::count("cache.bytes_read", delta.bytes_read);
-        aql_trace::count("cache.prefetched_bytes", delta.prefetched_bytes);
-        aql_trace::count("cache.load_errors", delta.load_errors);
-    }
-    M_HITS.add(delta.hits);
-    M_MISSES.add(delta.misses);
-    M_EVICTIONS.add(delta.evictions);
-    M_BYTES.add(delta.bytes_read);
-    M_PREFETCHED.add(delta.prefetched_bytes);
-    M_LOAD_ERRORS.add(delta.load_errors);
-}
-
-/// Attribute miss-path I/O to a *source* label (`netcdf:<var>`,
-/// `aqf:<file>`, `mem`, …): per-source series under the same
-/// `aql_store_cache_bytes_read_total` / `…_load_errors_total` families
-/// the unlabeled process totals live in, so multi-backend I/O is
-/// attributable in the Prometheus endpoint. Called only when a counter
-/// actually moved — the registry lookup never lands on the hit path.
-pub(crate) fn note_labeled(label: &str, bytes_read: u64, prefetched_bytes: u64, load_errors: u64) {
-    if !aql_metrics::enabled() {
-        return;
-    }
-    if bytes_read > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_bytes_read_total",
-            &[("source", label)],
-            "Payload bytes loaded from chunk sources on misses.",
-        )
-        .add(bytes_read);
-    }
-    if prefetched_bytes > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_prefetched_bytes_total",
-            &[("source", label)],
-            "Payload bytes handed over from prefetch warm pools on misses.",
-        )
-        .add(prefetched_bytes);
-    }
-    if load_errors > 0 {
-        aql_metrics::counter_with(
-            "aql_store_cache_load_errors_total",
-            &[("source", label)],
-            "Chunk-loader invocations that returned an error.",
-        )
-        .add(load_errors);
-    }
 }
 
 #[cfg(test)]
@@ -192,22 +125,30 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_cache_counters() {
-        let hits = aql_metrics::counter("aql_store_cache_hits_total", "");
-        let bytes = aql_metrics::counter("aql_store_cache_bytes_read_total", "");
-        let (h0, b0) = (hits.get(), bytes.get());
-        global_add(CacheStats { hits: 3, bytes_read: 128, ..Default::default() });
-        // `>=`: other tests on other threads may be bumping too.
-        assert!(hits.get() >= h0 + 3);
-        assert!(bytes.get() >= b0 + 128);
+    fn global_accumulates() {
+        let base = global();
+        fold_global(Event::CacheHit);
+        fold_global(Event::CacheHit);
+        fold_global(Event::CacheLoad(16));
+        let d = global().delta_since(&base);
+        assert_eq!((d.hits, d.misses, d.bytes_read), (2, 1, 16));
     }
 
     #[test]
-    fn global_accumulates() {
-        let base = global();
-        global_add(CacheStats { hits: 2, bytes_read: 16, ..Default::default() });
-        let d = global().delta_since(&base);
-        assert_eq!(d.hits, 2);
-        assert_eq!(d.bytes_read, 16);
+    fn ledger_fold_counts_failed_loads_as_misses() {
+        use aql_journal::attr::{Ledger, SourceCounts};
+        let row = |chunks_loaded, load_errors| SourceCounts {
+            hits: 3,
+            chunks_loaded,
+            bytes_read: 64,
+            load_errors,
+            ..Default::default()
+        };
+        let ledger = Ledger {
+            sources: vec![("a".to_string(), row(2, 1)), ("b".to_string(), row(1, 0))],
+            ..Ledger::default()
+        };
+        let s = CacheStats::from_ledger(&ledger);
+        assert_eq!((s.hits, s.misses, s.bytes_read, s.load_errors), (6, 4, 128, 1));
     }
 }

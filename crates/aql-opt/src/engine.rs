@@ -8,29 +8,42 @@
 //! phases can be registered at run time, mirroring the paper's dynamic
 //! rule injection.
 
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use aql_core::expr::{Expr, Name};
+use aql_metrics::{Counter, LazyCounter};
 
 /// Process-lifetime count of optimizer passes run to fixpoint.
 static M_PASSES: aql_metrics::LazyCounter = aql_metrics::LazyCounter::new(
     "aql_opt_passes_total",
     "Optimizer fixpoint passes executed.",
 );
+/// Rule applications; one `(phase, rule)` series per rule, resolved on
+/// the rule's first fire and kept beside it.
+static M_FIRES: LazyCounter = LazyCounter::new(
+    "aql_opt_rule_fires_total",
+    "Optimizer rule applications, by (phase, rule).",
+);
+/// Rewrites the soundness gate rejected. Exceptional, so the per-call
+/// series lookup is irrelevant — but an operator watching `/metrics`
+/// must see them.
+static M_UNSOUND: LazyCounter = LazyCounter::new(
+    "aql_opt_unsound_total",
+    "Rewrites rejected by the soundness gate, by (phase, rule).",
+);
 
-/// Bump the `(phase, rule)`-labelled unsound-rewrite counter. Fires
-/// are frequent enough to gate on [`aql_metrics::enabled`]; unsound
-/// rewrites are exceptional, so the lookup cost is irrelevant — but
-/// an operator watching `/metrics` must see them.
-fn bump_unsound_metric(phase: &str, rule: &str) {
-    if aql_metrics::enabled() {
-        aql_metrics::counter_with(
-            "aql_opt_unsound_total",
-            &[("phase", phase), ("rule", rule)],
-            "Rewrites rejected by the soundness gate, by (phase, rule).",
-        )
-        .inc();
-    }
+thread_local! {
+    /// Rule fires on this thread (see [`thread_fires`]).
+    static FIRES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Rule applications performed on the calling thread since it started,
+/// whether or not metrics are recorded. A caller measures its own
+/// optimizations as a difference of two readings; fires on other
+/// threads never move it.
+pub fn thread_fires() -> u64 {
+    FIRES.with(Cell::get)
 }
 
 /// A rewrite rule. `apply` inspects only the *root* of the given
@@ -265,7 +278,8 @@ fn clip(e: &Expr) -> String {
 pub struct Phase {
     /// Phase name (e.g. "normalize").
     pub name: String,
-    rules: Vec<Rc<dyn Rule>>,
+    /// Each rule with its `aql_opt_rule_fires_total{phase,rule}` handle.
+    rules: Vec<(Rc<dyn Rule>, OnceCell<&'static Counter>)>,
     /// Upper bound on full bottom-up passes (safety net; the standard
     /// rule sets reach a fixpoint well before this).
     pub max_passes: usize,
@@ -279,7 +293,7 @@ impl Phase {
 
     /// Append a rule (applied after already-registered rules).
     pub fn add_rule(&mut self, rule: Rc<dyn Rule>) -> &mut Self {
-        self.rules.push(rule);
+        self.rules.push((rule, OnceCell::new()));
         self
     }
 
@@ -340,7 +354,7 @@ impl Phase {
         if let (Some(check), Some(rule)) = (gate.phase_check, last_fired) {
             if let Err(message) = check(&cur) {
                 aql_trace::count_with(|| format!("unsound:{}/{rule}", self.name), 1);
-                bump_unsound_metric(&self.name, rule);
+                M_UNSOUND.add_labeled(&[("phase", &self.name), ("rule", rule)], 1);
                 return Err(OptError::Unsound(SoundnessViolation {
                     phase: self.name.clone(),
                     rule,
@@ -370,7 +384,7 @@ impl Phase {
         // Re-apply at the root while rules fire; a small bound keeps a
         // misbehaving user rule from looping forever.
         'outer: for _ in 0..32 {
-            for r in &self.rules {
+            for (r, fires) in &self.rules {
                 if let Some(next) = self.apply_checked(r, &cur)? {
                     if gate.per_fire {
                         if let Err(message) = aql_verify::check_rewrite(&cur, &next, scope) {
@@ -378,7 +392,7 @@ impl Phase {
                                 || format!("unsound:{}/{}", self.name, r.name()),
                                 1,
                             );
-                            bump_unsound_metric(&self.name, r.name());
+                            M_UNSOUND.add_labeled(&[("phase", &self.name), ("rule", r.name())], 1);
                             return Err(OptError::Unsound(SoundnessViolation {
                                 phase: self.name.clone(),
                                 rule: r.name(),
@@ -399,13 +413,13 @@ impl Phase {
                         1,
                     );
                     if aql_metrics::enabled() {
-                        aql_metrics::counter_with(
-                            "aql_opt_rule_fires_total",
-                            &[("phase", &self.name), ("rule", r.name())],
-                            "Optimizer rule applications, by (phase, rule).",
-                        )
-                        .inc();
+                        fires
+                            .get_or_init(|| {
+                                M_FIRES.series(&[("phase", &self.name), ("rule", r.name())])
+                            })
+                            .inc();
                     }
+                    FIRES.with(|n| n.set(n.get() + 1));
                     *fired += 1;
                     *last_fired = Some(r.name());
                     cur = next;

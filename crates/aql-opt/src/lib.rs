@@ -37,6 +37,7 @@ pub mod rules;
 pub use engine::{
     map_children, map_children_scoped, try_map_children, try_map_children_scoped, Gate, OptError,
     Optimizer, Phase, PhaseCheck, Rule, RulePanic, SoundnessViolation, Trace, TraceStep,
+    thread_fires,
 };
 pub use rules::{normalize_and_eliminate, normalizer, standard};
 

@@ -7,8 +7,6 @@
 //! out — so the REPL command, the `doctor` CLI, and the end-to-end
 //! chaos test all share one implementation.
 
-use std::collections::BTreeMap;
-
 use aql_trace::json::Json;
 
 use crate::attr::Ledger;
@@ -153,47 +151,6 @@ pub fn failing_source(events: &Journal, attribution: Option<&Ledger>) -> Option<
     })
 }
 
-/// Per-source cache behavior aggregated from the event window (used
-/// when no attribution ledger is available, and to cross-check one).
-#[derive(Debug, Default, Clone, Copy)]
-struct CacheRow {
-    hits: u64,
-    misses: u64,
-    warm: u64,
-    bytes: u64,
-    evictions: u64,
-    load_errors: u64,
-    retries: u64,
-}
-
-fn cache_rows(events: &Journal) -> BTreeMap<String, CacheRow> {
-    let mut rows: BTreeMap<String, CacheRow> = BTreeMap::new();
-    for e in &events.events {
-        let row = || -> String {
-            let l = e.label_str();
-            if l.is_empty() { "(unlabeled)".to_string() } else { l }
-        };
-        match e.tag {
-            Tag::CacheHit => rows.entry(row()).or_default().hits += e.a,
-            Tag::CacheMiss => {
-                let r = rows.entry(row()).or_default();
-                r.misses += 1;
-                r.bytes += e.a;
-            }
-            Tag::CacheWarm => {
-                let r = rows.entry(row()).or_default();
-                r.warm += 1;
-                r.bytes += e.a;
-            }
-            Tag::CacheEvict => rows.entry(row()).or_default().evictions += e.a,
-            Tag::CacheLoadError => rows.entry(row()).or_default().load_errors += 1,
-            Tag::Retry => rows.entry(row()).or_default().retries += 1,
-            _ => {}
-        }
-    }
-    rows
-}
-
 fn push_timeline(out: &mut String, events: &Journal) {
     let interesting: Vec<_> = events
         .events
@@ -312,21 +269,9 @@ pub fn diagnose_json(inc: &Incident) -> String {
     Json::Obj(obj).write()
 }
 
-/// Machine-readable counterpart of [`diagnose_live`]: same analysis
-/// keys as [`diagnose_json`], minus the incident metadata.
-pub fn diagnose_live_json(journal: &Journal, attribution: Option<&Ledger>) -> String {
-    let mut obj = vec![
-        ("schema_version".to_string(), Json::Num(1.0)),
-        ("incident_kind".to_string(), Json::Null),
-        ("events".to_string(), Json::Num(journal.events.len() as f64)),
-    ];
-    obj.extend(json_analysis(journal, attribution, None, None));
-    Json::Obj(obj).write()
-}
-
-/// Analysis keys shared by [`diagnose_json`] and
-/// [`diagnose_live_json`]: fault class, failing/dominant source,
-/// governor counters, and the diagnosis sentence.
+/// The analysis keys of [`diagnose_json`]: fault class,
+/// failing/dominant source, governor counters, and the diagnosis
+/// sentence.
 fn json_analysis(
     events: &Journal,
     attribution: Option<&Ledger>,
@@ -335,7 +280,7 @@ fn json_analysis(
 ) -> Vec<(String, Json)> {
     let class = classify(kind, error, events);
     let source = failing_source(events, attribution);
-    let dominant = dominant_source(events, attribution);
+    let dominant = dominant_source(attribution);
     let subject = subject_for(source.as_deref());
     let mut out = vec![
         ("fault_class".to_string(), Json::Str(class.name().to_string())),
@@ -366,21 +311,10 @@ fn json_analysis(
     out
 }
 
-/// Dominant cost source: prefer the precise attribution ledger, fall
-/// back to byte counts reconstructed from the event window.
-fn dominant_source(
-    events: &Journal,
-    attribution: Option<&Ledger>,
-) -> Option<(String, u64)> {
-    attribution
-        .and_then(|l| l.dominant_source().map(|(s, c)| (s.to_string(), c.total_bytes())))
-        .or_else(|| {
-            let rows = cache_rows(events);
-            rows.iter()
-                .filter(|(_, r)| r.bytes > 0)
-                .max_by_key(|(_, r)| r.bytes)
-                .map(|(l, r)| (l.clone(), r.bytes))
-        })
+/// Dominant cost source: the ledger row that moved the most bytes.
+fn dominant_source(attribution: Option<&Ledger>) -> Option<(String, u64)> {
+    let (label, counts) = attribution?.dominant_source()?;
+    Some((label.to_string(), counts.total_bytes()))
 }
 
 /// The `diagnosis: …` sentence for a classified fault. `subject` is
@@ -444,8 +378,7 @@ fn body(
 ) -> String {
     let mut out = String::new();
 
-    let rows = cache_rows(events);
-    let dominant = dominant_source(events, attribution);
+    let dominant = dominant_source(attribution);
     match &dominant {
         Some((label, bytes)) => out.push_str(&format!(
             "dominant cost source: `{label}` ({bytes} B moved)\n"
@@ -479,17 +412,6 @@ fn body(
             "governor: peak {} B in use, {} sheds, {} denials\n",
             ledger.governor_peak_bytes, ledger.governor_sheds, ledger.governor_denials
         ));
-    } else if !rows.is_empty() {
-        out.push_str("cache behavior (from events):\n");
-        for (label, r) in &rows {
-            let total = r.hits + r.misses + r.warm;
-            let rate = if total > 0 { r.hits as f64 / total as f64 * 100.0 } else { 0.0 };
-            out.push_str(&format!(
-                "  {label}: {:.0}% hit rate ({} hits / {} misses / {} warm), {} B, \
-                 {} evictions, {} load errors, {} retries\n",
-                rate, r.hits, r.misses, r.warm, r.bytes, r.evictions, r.load_errors, r.retries
-            ));
-        }
     }
 
     push_timeline(&mut out, events);
@@ -607,16 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn diagnose_live_json_has_stable_shape() {
-        let journal = Journal { events: vec![] };
-        let parsed = Json::parse(&diagnose_live_json(&journal, None)).expect("parseable");
-        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert_eq!(parsed.get("incident_kind"), Some(&Json::Null));
-        assert_eq!(parsed.get("events").and_then(Json::as_u64), Some(0));
-        assert_eq!(parsed.get("fault_class").and_then(Json::as_str), Some("healthy"));
-    }
-
-    #[test]
     fn classifies_corruption_over_transient() {
         let inc = incident_with(
             IncidentKind::Error,
@@ -671,23 +583,6 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("20% hit rate"), "{report}");
-    }
-
-    #[test]
-    fn live_diagnosis_reconstructs_cache_rows_from_events() {
-        let l = intern("t_doc:live");
-        let journal = Journal {
-            events: vec![
-                ev(Tag::CacheHit, l, 9, 0, 1),
-                ev(Tag::CacheMiss, l, 4096, 0, 2),
-                ev(Tag::CacheWarm, l, 8192, 0, 3),
-            ],
-        };
-        let report = diagnose_live(&journal, None);
-        assert!(report.contains("live journal: 3 events"), "{report}");
-        assert!(report.contains("t_doc:live"), "{report}");
-        assert!(report.contains("12288 B"), "{report}");
-        assert!(report.contains("dominant cost source: `t_doc:live`"), "{report}");
     }
 
     #[test]

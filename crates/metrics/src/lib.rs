@@ -21,11 +21,12 @@
 //! ## Overhead contract
 //!
 //! Recording against a cached handle ([`LazyCounter`],
-//! [`LazyHistogram`]) is one relaxed atomic flag read, one `OnceLock`
-//! deref, and one relaxed `fetch_add` — no locking, no allocation, no
-//! formatting. [`set_enabled]`(false)` turns every record into the
-//! flag read alone; the `store_bench --metrics-overhead` gate asserts
-//! the end-to-end cost of metrics-on vs metrics-off stays under 3%.
+//! [`LazyHistogram`], [`LazyGauge`]) is one relaxed atomic flag read,
+//! one `OnceLock` deref, and one relaxed `fetch_add` — no locking, no
+//! allocation, no formatting. [`set_enabled]`(false)` turns every
+//! record into the flag read alone; the
+//! `store_bench --metrics-overhead` gate asserts the end-to-end cost
+//! of metrics-on vs metrics-off stays under 3%.
 //! Registration (first use of a name) takes a mutex and leaks the
 //! metric: handles are `&'static` and live for the process.
 //!
@@ -442,12 +443,19 @@ impl LazyCounter {
         self.add(1);
     }
 
-    /// Add `delta` to this family's series labeled `labels`, registered
-    /// on first use under the family's help text; no-op when disabled
-    /// or zero. Each call looks the series up, so keep it off hot paths.
+    /// Resolve (registering on first use) this family's series labeled
+    /// `labels`, under the family's help text. Each call looks the
+    /// series up: callers on a hot path keep the returned handle.
+    pub fn series(&self, labels: &[(&str, &str)]) -> &'static Counter {
+        counter_with(self.name, labels, self.help)
+    }
+
+    /// Add `delta` to this family's series labeled `labels`; no-op when
+    /// disabled or zero. Each call looks the series up, so keep it off
+    /// hot paths.
     pub fn add_labeled(&self, labels: &[(&str, &str)], delta: u64) {
         if delta > 0 && enabled() {
-            counter_with(self.name, labels, self.help).add(delta);
+            self.series(labels).add(delta);
         }
     }
 
@@ -482,6 +490,28 @@ impl LazyHistogram {
             return;
         }
         self.histogram().observe(v);
+    }
+}
+
+/// A `static`-friendly gauge handle; see [`LazyCounter`].
+pub struct LazyGauge {
+    name: &'static str,
+    help: &'static str,
+    cell: OnceLock<&'static Gauge>,
+}
+
+impl LazyGauge {
+    /// Declare a gauge bound lazily to `name`.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        LazyGauge { name, help, cell: OnceLock::new() }
+    }
+
+    /// Set the gauge, registering it on first use; no-op when disabled.
+    #[inline]
+    pub fn set(&self, v: i64) {
+        if enabled() {
+            self.cell.get_or_init(|| gauge(self.name, self.help)).set(v);
+        }
     }
 }
 
@@ -791,6 +821,12 @@ mod tests {
         static H: LazyHistogram = LazyHistogram::new("t_lazy_ns", "lazy");
         H.observe(5);
         assert_eq!(H.histogram().snapshot().count(), 1);
+        // `series` names the family's labeled series `counter_with` names.
+        let labeled = counter_with("t_lazy_total", &[("k", "v")], "lazy");
+        assert!(std::ptr::eq(C.series(&[("k", "v")]), labeled));
+        static G: LazyGauge = LazyGauge::new("t_lazy_gauge", "lazy");
+        G.set(-4);
+        assert_eq!(gauge("t_lazy_gauge", "lazy").get(), -4);
     }
 
     #[test]

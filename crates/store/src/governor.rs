@@ -26,6 +26,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use aql_metrics::LazyGauge;
+
 use crate::error::StoreError;
 use crate::event::{self, Event, Label};
 
@@ -133,16 +135,19 @@ impl Ledger {
 /// The process-wide ledger.
 static GLOBAL: Ledger = Ledger::unlimited();
 
+static G_BUDGET: LazyGauge = LazyGauge::new(
+    "aql_store_governor_budget_bytes",
+    "Configured process-wide chunk-memory budget (-1 = unlimited).",
+);
+static G_PEAK: LazyGauge = LazyGauge::new(
+    "aql_store_governor_peak_bytes",
+    "High-water mark of governed chunk-memory bytes.",
+);
+
 /// Set the process-wide byte budget; `None` removes the bound.
 pub fn set_budget(budget: Option<u64>) {
     GLOBAL.set_budget(budget);
-    if aql_metrics::enabled() {
-        aql_metrics::gauge(
-            "aql_store_governor_budget_bytes",
-            "Configured process-wide chunk-memory budget (-1 = unlimited).",
-        )
-        .set(budget.map_or(-1, |b| b.min(i64::MAX as u64) as i64));
-    }
+    G_BUDGET.set(budget.map_or(-1, |b| b.min(i64::MAX as u64) as i64));
 }
 
 /// The configured process-wide budget, or `None` when unlimited.
@@ -163,13 +168,7 @@ pub fn bytes_in_use() -> u64 {
 /// assert a cache-budget bound on.
 pub fn peak_bytes() -> u64 {
     let peak = GLOBAL.peak_bytes();
-    if aql_metrics::enabled() {
-        aql_metrics::gauge(
-            "aql_store_governor_peak_bytes",
-            "High-water mark of governed chunk-memory bytes.",
-        )
-        .set(peak.min(i64::MAX as u64) as i64);
-    }
+    G_PEAK.set(peak.min(i64::MAX as u64) as i64);
     peak
 }
 

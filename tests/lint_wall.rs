@@ -1,6 +1,9 @@
-//! The workspace lint wall: no `panic!(`, `.unwrap()`, `todo!(`,
-//! `unimplemented!(`, or `dbg!(` in non-test library code under
-//! `crates/*/src`.
+//! The workspace lint walls, over non-test library code under
+//! `crates/*/src`:
+//!
+//! * no `panic!(`, `.unwrap()`, `todo!(`, `unimplemented!(`, or `dbg!(`;
+//! * no direct flight-recorder or metric-registry calls outside the
+//!   event streams' own modules (see [`SINK_CALLS`]).
 //!
 //! Robustness is a stated goal (PR 1 made extension panics survivable;
 //! this PR makes internal invariants report instead of abort) — the
@@ -8,7 +11,7 @@
 //!
 //! * test code — `#[cfg(test)]` modules are stripped before scanning;
 //! * comments and doc examples — `//`-leading lines are skipped;
-//! * deliberate aborts — annotate the line (or the line above) with
+//! * deliberate exceptions — annotate the line (or the line above) with
 //!   `// lint-wall: allow` and a justification;
 //! * the vendored `proptest-shim` is exempt (test-only by nature).
 //!
@@ -69,8 +72,10 @@ fn non_test_lines(text: &str) -> Vec<(usize, String)> {
     out
 }
 
-#[test]
-fn no_panics_or_unwraps_in_library_code() {
+/// Every reachable library line: `(file, line number, line)` for the
+/// non-test, non-comment lines of `crates/*/src` without a
+/// `// lint-wall: allow` on the line or the one above.
+fn library_lines() -> Vec<(PathBuf, usize, String)> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
     let entries = fs::read_dir(&crates).expect("crates/ exists");
@@ -87,33 +92,79 @@ fn no_panics_or_unwraps_in_library_code() {
     }
     assert!(files.len() > 10, "the scan must actually find the workspace sources");
 
-    let mut violations = Vec::new();
-    for path in &files {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let mut out = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
         let kept = non_test_lines(&text);
         for (k, (ln, line)) in kept.iter().enumerate() {
-            let trimmed = line.trim_start();
             // Comments (incl. doc examples) are not reachable code.
-            if trimmed.starts_with("//") {
+            if line.trim_start().starts_with("//") {
                 continue;
             }
             let allowed = line.contains("lint-wall: allow")
                 || (k > 0 && kept[k - 1].1.contains("lint-wall: allow"));
-            if allowed {
-                continue;
-            }
-            for pat in FORBIDDEN {
-                if line.contains(pat) {
-                    violations.push(format!("{}:{}: {}", path.display(), ln, line.trim()));
-                }
+            if !allowed {
+                out.push((path.clone(), *ln, line.clone()));
             }
         }
     }
+    out
+}
+
+/// `file:line: code` for every library line containing one of `pats`,
+/// outside the files `exempt` accepts.
+fn violations(pats: &[&str], exempt: impl Fn(&Path) -> bool) -> Vec<String> {
+    library_lines()
+        .into_iter()
+        .filter(|(path, _, line)| !exempt(path) && pats.iter().any(|p| line.contains(p)))
+        .map(|(path, ln, line)| format!("{}:{}: {}", path.display(), ln, line.trim()))
+        .collect()
+}
+
+#[test]
+fn no_panics_or_unwraps_in_library_code() {
+    let violations = violations(FORBIDDEN, |_| false);
     assert!(
         violations.is_empty(),
         "forbidden `panic!(`/`.unwrap()`/`todo!(`/`unimplemented!(`/`dbg!(` in library \
          code (add `// lint-wall: allow` \
          with a justification if the abort is deliberate):\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Direct flight-recorder records and metric-registry lookups. Every
+/// storage and statement occurrence reaches the journal and the
+/// metrics through its event stream's sinks, which hold pre-interned
+/// ids and cached handles; a stray call elsewhere is a second, unsynced
+/// record of the same occurrence, or a registry lookup on a hot path.
+const SINK_CALLS: &[&str] = &[
+    "aql_journal::record(",
+    "aql_journal::intern(",
+    "aql_metrics::counter(",
+    "aql_metrics::counter_with(",
+    "aql_metrics::histogram(",
+    "aql_metrics::histogram_with(",
+    "aql_metrics::gauge(",
+];
+
+/// Where [`SINK_CALLS`] belong: the storage and statement event
+/// streams, and the journal and metrics crates themselves.
+fn owns_sinks(path: &Path) -> bool {
+    let p = path.to_string_lossy().replace('\\', "/");
+    p.ends_with("crates/store/src/event.rs")
+        || p.ends_with("crates/aql-lang/src/session/lifecycle.rs")
+        || p.contains("crates/journal/src/")
+        || p.contains("crates/metrics/src/")
+}
+
+#[test]
+fn journal_and_metrics_calls_stay_in_the_event_sinks() {
+    let violations = violations(SINK_CALLS, owns_sinks);
+    assert!(
+        violations.is_empty(),
+        "direct journal/metric-registry call outside an event sink (emit an event, use a \
+         cached handle, or add `// lint-wall: allow` with a justification):\n{}",
         violations.join("\n")
     );
 }

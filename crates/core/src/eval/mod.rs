@@ -23,6 +23,7 @@ mod compile;
 pub use compile::{compile, CExpr};
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -393,16 +394,13 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
             Ok(Value::Set(Rc::new(va.as_set()?.union(vb.as_set()?))))
         }
         CExpr::BigUnion { head, src } => {
-            let vs = strict!(eval_compiled(src, env, ctx)?);
-            let mut collected = Vec::new();
-            for x in vs.as_set()?.iter() {
-                let h = eval_compiled(head, &env.push(x.clone()), ctx)?;
-                if h.is_bottom() {
-                    return Ok(Value::Bottom);
-                }
-                collected.extend(h.as_set()?.iter().cloned());
+            // The whole nest streams into one buffer: inner unions and
+            // singletons never become sets of their own.
+            let mut acc = SetBuf::default();
+            if !each_big_union(head, src, env, ctx, &mut |v| acc.push(v))? {
+                return Ok(Value::Bottom);
             }
-            Ok(Value::Set(Rc::new(CoSet::from_vec(collected))))
+            Ok(Value::Set(Rc::new(acc.finish())))
         }
         CExpr::BigUnionRank { head, src } => {
             let vs = strict!(eval_compiled(src, env, ctx)?);
@@ -703,16 +701,138 @@ pub fn eval_compiled(c: &CExpr, env: &Env, ctx: &EvalCtx) -> Result<Value, EvalE
         }
         CExpr::Bottom => Ok(Value::Bottom),
         CExpr::Prim(p, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(strict!(eval_compiled(a, env, ctx)?));
-            }
-            match p {
-                Prim::Member => Ok(Value::Bool(vals[1].as_set()?.contains(&vals[0]))),
-                Prim::MinSet => Ok(vals[0].as_set()?.min().cloned().unwrap_or(Value::Bottom)),
-                Prim::MaxSet => Ok(vals[0].as_set()?.max().cloned().unwrap_or(Value::Bottom)),
+            match (p, args.as_slice()) {
+                (Prim::Member, [x, s]) => {
+                    let vx = strict!(eval_compiled(x, env, ctx)?);
+                    let vs = strict!(eval_compiled(s, env, ctx)?);
+                    Ok(Value::Bool(vs.as_set()?.contains(&vx)))
+                }
+                (Prim::MinSet | Prim::MaxSet, [s]) => {
+                    // Fold over the stream; never build the set. Only a
+                    // strict win replaces the incumbent, so the first of
+                    // equal extremes is kept, as `CoSet::from_vec` keeps
+                    // the first of equal elements.
+                    let win = if *p == Prim::MaxSet { Ordering::Greater } else { Ordering::Less };
+                    let mut best: Option<Value> = None;
+                    let complete = each_elem(s, env, ctx, &mut |v| {
+                        if best.as_ref().is_none_or(|b| canonical_cmp(&v, b) == win) {
+                            best = Some(v);
+                        }
+                    })?;
+                    Ok(best.filter(|_| complete).unwrap_or(Value::Bottom))
+                }
+                // `compile` rejects a wrong arity, but `CExpr` is
+                // public: report a hand-built one rather than abort.
+                _ => Err(EvalError::Internal(format!(
+                    "{p:?} applied to {} arguments, expects {}",
+                    args.len(),
+                    p.arity()
+                ))),
             }
         }
+    }
+}
+
+/// Enumerate the elements of the set `c` denotes into `sink`, looking
+/// through the set forms that need not be built: `{e}`, `⋃{e | x ∈ S}`
+/// (nested to any depth), `if` and `{}`. Every other term is evaluated
+/// and its set iterated. Returns `Ok(false)` when `c` is ⊥; elements
+/// already sunk are then meaningless.
+///
+/// `Union` is not looked through: it evaluates both operands before
+/// checking either one's type, and streaming it would change which
+/// error a term reports. Each looked-through form calls `ctx.tick`
+/// exactly where [`eval_compiled`] would, so step counts and
+/// `StepLimit`/`Deadline` points are those of materializing evaluation.
+fn each_elem(
+    c: &CExpr,
+    env: &Env,
+    ctx: &EvalCtx,
+    sink: &mut dyn FnMut(Value),
+) -> Result<bool, EvalError> {
+    match c {
+        CExpr::Empty => {
+            ctx.tick()?;
+            Ok(true)
+        }
+        CExpr::Single(e) => {
+            ctx.tick()?;
+            let v = eval_compiled(e, env, ctx)?;
+            if v.is_bottom() {
+                return Ok(false);
+            }
+            sink(v);
+            Ok(true)
+        }
+        CExpr::BigUnion { head, src } => {
+            ctx.tick()?;
+            each_big_union(head, src, env, ctx, sink)
+        }
+        CExpr::If(cond, t, f) => {
+            ctx.tick()?;
+            let vc = eval_compiled(cond, env, ctx)?;
+            if vc.is_bottom() {
+                return Ok(false);
+            }
+            each_elem(if vc.as_bool()? { t } else { f }, env, ctx, sink)
+        }
+        _ => {
+            let v = eval_compiled(c, env, ctx)?;
+            if v.is_bottom() {
+                return Ok(false);
+            }
+            for x in v.as_set()?.iter() {
+                sink(x.clone());
+            }
+            Ok(true)
+        }
+    }
+}
+
+/// The elements of `⋃{head | x ∈ src}`, after the union's own tick.
+fn each_big_union(
+    head: &CExpr,
+    src: &CExpr,
+    env: &Env,
+    ctx: &EvalCtx,
+    sink: &mut dyn FnMut(Value),
+) -> Result<bool, EvalError> {
+    let vs = eval_compiled(src, env, ctx)?;
+    if vs.is_bottom() {
+        return Ok(false);
+    }
+    for x in vs.as_set()?.iter() {
+        if !each_elem(head, &env.push(x.clone()), ctx, sink)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// A set built from a stream of elements. The buffer is compacted
+/// (sorted and deduplicated in place) whenever it doubles past the
+/// length its last compaction left, so it never holds more than twice
+/// the stream's distinct count. Both the sort and the dedup are
+/// stable, so each element keeps the representative
+/// [`CoSet::from_vec`] of the whole stream would.
+#[derive(Default)]
+struct SetBuf {
+    items: Vec<Value>,
+    compacted: usize,
+}
+
+impl SetBuf {
+    fn push(&mut self, v: Value) {
+        if self.items.len() >= 2 * self.compacted.max(1) {
+            self.items.sort_by(canonical_cmp);
+            self.items.dedup_by(|a, b| canonical_cmp(a, b).is_eq());
+            self.compacted = self.items.len();
+        }
+        self.items.push(v);
+    }
+
+    fn finish(self) -> CoSet {
+        CoSet::from_vec(self.items)
     }
 }
 
@@ -1282,5 +1402,210 @@ mod runtime_shape_tests {
         let ctx2 = EvalCtx::new(&globals, &externals);
         eval(&sum("x", gen(nat(100)), var("x")), &ctx2).unwrap();
         assert!(ctx2.steps_used() > small);
+    }
+}
+
+#[cfg(test)]
+mod streaming_tests {
+    //! Streamed set enumeration (`each_elem`): values, ⊥, classified
+    //! errors and step counts are those of materializing every level,
+    //! pinned against counts taken from the materializing evaluator.
+
+    use super::*;
+    use crate::expr::builder::*;
+
+    fn run(e: &Expr, limits: Limits) -> (Result<Value, EvalError>, u64) {
+        let globals = HashMap::new();
+        let externals = Extensions::new();
+        let ctx = EvalCtx::new(&globals, &externals).with_limits(limits);
+        let out = eval(e, &ctx);
+        (out, ctx.stats().steps)
+    }
+
+    /// `⋃{ ⋃{ inner | y ∈ gen ny } | x ∈ gen nx }`.
+    fn nest2(nx: u64, ny: u64, inner: Expr) -> Expr {
+        big_union("x", gen(nat(nx)), big_union("y", gen(nat(ny)), inner))
+    }
+
+    fn pinned() -> Vec<(&'static str, Expr, Result<Value, EvalError>, u64)> {
+        let nat_set = |ns: &[u64]| Value::set(ns.iter().map(|&n| Value::Nat(n)).collect());
+        vec![
+            (
+                "max over a two-level nest",
+                set_max(nest2(4, 3, single(add(mul(var("x"), nat(10)), var("y"))))),
+                Ok(Value::Nat(32)),
+                88,
+            ),
+            (
+                "min over a filter",
+                set_min(big_union(
+                    "x",
+                    gen(nat(5)),
+                    iff(lt(var("x"), nat(2)), single(add(var("x"), nat(7))), empty()),
+                )),
+                Ok(Value::Nat(7)),
+                35,
+            ),
+            (
+                "union of a dependent nest",
+                big_union("x", gen(nat(4)), big_union("y", gen(var("x")), single(var("y")))),
+                Ok(nat_set(&[0, 1, 2])),
+                27,
+            ),
+            (
+                "⊥ in the innermost head",
+                set_max(nest2(2, 3, single(div(nat(1), var("y"))))),
+                Ok(Value::Bottom),
+                11,
+            ),
+            (
+                "⊥ source in a middle generator",
+                set_max(big_union(
+                    "x",
+                    gen(nat(3)),
+                    big_union(
+                        "y",
+                        iff(lt(var("x"), nat(1)), gen(nat(2)), bottom()),
+                        single(var("y")),
+                    ),
+                )),
+                Ok(Value::Bottom),
+                21,
+            ),
+            (
+                "non-set head",
+                set_max(big_union("x", gen(nat(3)), var("x"))),
+                Err(EvalError::IllTyped("expected set, got 0".into())),
+                5,
+            ),
+            (
+                "empty set gives ⊥",
+                set_min(big_union("x", gen(nat(3)), empty())),
+                Ok(Value::Bottom),
+                7,
+            ),
+            (
+                "-0.0 and 0.0 are distinct under total_cmp",
+                set_min(big_union(
+                    "x",
+                    gen(nat(2)),
+                    iff(lt(var("x"), nat(1)), single(real(0.0)), single(real(-0.0))),
+                )),
+                Ok(Value::Real(-0.0)),
+                16,
+            ),
+            (
+                "NaN is the greatest real",
+                set_max(union(single(real(1.0)), union(single(real(f64::NAN)), single(real(2.0))))),
+                Ok(Value::Real(f64::NAN)),
+                9,
+            ),
+        ]
+    }
+
+    #[test]
+    fn pinned_values_errors_and_steps() {
+        for (what, e, want, steps) in pinned() {
+            let (got, used) = run(&e, Limits::default());
+            assert_eq!(got, want, "{what}");
+            if let (Ok(Value::Real(g)), Ok(Value::Real(w))) = (&got, &want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: bit pattern");
+            }
+            assert_eq!(used, steps, "{what}: steps");
+        }
+    }
+
+    #[test]
+    fn step_limit_trips_at_the_same_step() {
+        // 88 steps unlimited (pinned above): a limit inside the nest
+        // trips there, and the step count stops at the limit.
+        let e = set_max(nest2(4, 3, single(add(mul(var("x"), nat(10)), var("y")))));
+        for limit in [1, 2, 40, 87] {
+            let (got, used) = run(&e, Limits { max_steps: limit, ..Limits::default() });
+            assert_eq!(got, Err(EvalError::StepLimit), "limit {limit}");
+            assert_eq!(used, limit);
+        }
+        assert_eq!(run(&e, Limits { max_steps: 88, ..Limits::default() }).0, Ok(Value::Nat(32)));
+    }
+
+    #[test]
+    fn equal_elements_keep_the_first_representative() {
+        // A lazy and a materialized array with equal elements are equal
+        // under `canonical_cmp` but tell apart by `is_lazy`: min!, max!
+        // and ⋃ keep whichever the stream yields first, as
+        // `CoSet::from_vec` of the whole stream would — also across
+        // the ⋃ buffer's compactions.
+        use aql_store::{ChunkLayout, LazyArray, MemChunkSource, ScalarBuf, ScalarKind};
+        let data = vec![1.0, 2.0];
+        let mem = MemChunkSource::new(vec![2], ScalarBuf::F64(data.clone())).unwrap();
+        let layout = ChunkLayout::new(vec![2], vec![1]).unwrap();
+        let lazy = LazyArray::new(layout, ScalarKind::F64, Box::new(mem), 1 << 10);
+        let mut globals = HashMap::new();
+        globals.insert(
+            crate::expr::name("L"),
+            Value::Array(Rc::new(ArrayVal::lazy(lazy).unwrap())),
+        );
+        globals.insert(
+            crate::expr::name("M"),
+            Value::Array(Rc::new(ArrayVal::from_f64(vec![2], data).unwrap())),
+        );
+        let externals = Extensions::new();
+        let ctx = EvalCtx::new(&globals, &externals);
+        let first_is_lazy = |first: &str, second: &str| {
+            // ⋃{ if x < 1 then {first} else {second} | x ∈ gen 9 }
+            let nest = big_union(
+                "x",
+                gen(nat(9)),
+                iff(lt(var("x"), nat(1)), single(global(first)), single(global(second))),
+            );
+            let lazy_of = |v: &Value| v.as_array().unwrap().is_lazy();
+            let set = eval(&nest, &ctx).unwrap();
+            assert_eq!(set.as_set().unwrap().len(), 1);
+            let u = lazy_of(set.as_set().unwrap().min().unwrap());
+            let lo = lazy_of(&eval(&set_min(nest.clone()), &ctx).unwrap());
+            let hi = lazy_of(&eval(&set_max(nest), &ctx).unwrap());
+            assert_eq!((u, lo), (hi, hi), "⋃, min! and max! agree on the representative");
+            hi
+        };
+        assert!(first_is_lazy("L", "M"));
+        assert!(!first_is_lazy("M", "L"));
+    }
+
+    #[test]
+    fn wrong_prim_arity_is_an_internal_error() {
+        let globals = HashMap::new();
+        let externals = Extensions::new();
+        let ctx = EvalCtx::new(&globals, &externals);
+        for c in [
+            CExpr::Prim(Prim::MaxSet, vec![]),
+            CExpr::Prim(Prim::MinSet, vec![CExpr::Empty, CExpr::Empty]),
+            CExpr::Prim(Prim::Member, vec![CExpr::Nat(1)]),
+        ] {
+            let got = eval_compiled(&c, &Env::empty(), &ctx);
+            assert!(matches!(got, Err(EvalError::Internal(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn compaction_bounds_a_duplicate_heavy_nest() {
+        // ⋃{ ⋃{ {1} | y ∈ gen 1000 } | x ∈ gen 1000 }: a million leaves,
+        // one distinct element; the buffer never holds more than two.
+        let e = nest2(1000, 1000, single(nat(1)));
+        let c = compile(&e).unwrap();
+        let globals = HashMap::new();
+        let externals = Extensions::new();
+        let ctx = EvalCtx::new(&globals, &externals);
+        let mut acc = SetBuf::default();
+        let (mut leaves, mut peak) = (0u64, 0usize);
+        let complete = each_elem(&c, &Env::empty(), &ctx, &mut |v| {
+            acc.push(v);
+            leaves += 1;
+            peak = peak.max(acc.items.len());
+        })
+        .unwrap();
+        assert!(complete);
+        assert_eq!(leaves, 1_000_000);
+        assert!(peak <= 2, "buffer held {peak} elements for 1 distinct");
+        assert_eq!(acc.finish(), CoSet::singleton(Value::Nat(1)));
     }
 }

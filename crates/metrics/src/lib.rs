@@ -11,7 +11,10 @@
 //!
 //! * [`Counter`] — a monotonically increasing `u64`, **sharded** over
 //!   cache-line-padded atomics so concurrent writers on different
-//!   threads do not contend (reads sum the shards).
+//!   threads do not contend (reads sum the shards). Each live thread
+//!   owns one shard and updates it with a plain load and store; only
+//!   threads beyond the first `SHARDS - 1` share the last shard
+//!   through `fetch_add`.
 //! * [`Gauge`] — a settable `i64` (last write wins).
 //! * [`Histogram`] — log2-bucketed `u64` samples (bucket *i* ≥ 1 holds
 //!   values in `[2^(i-1), 2^i)`; bucket 0 holds zero) with a sharded
@@ -22,8 +25,9 @@
 //!
 //! Recording against a cached handle ([`LazyCounter`],
 //! [`LazyHistogram`], [`LazyGauge`]) is one relaxed atomic flag read,
-//! one `OnceLock` deref, and one relaxed `fetch_add` — no locking, no
-//! allocation, no formatting. [`set_enabled]`(false)` turns every
+//! one `OnceLock` deref, and one relaxed load and store to the
+//! thread's own shard — no locked instruction, no allocation, no
+//! formatting. [`set_enabled]`(false)` turns every
 //! record into the flag read alone; the
 //! `store_bench --metrics-overhead` gate asserts the end-to-end cost
 //! of metrics-on vs metrics-off stays under 3%.
@@ -57,11 +61,11 @@ pub(crate) mod dashboard;
 pub mod http;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Number of write shards per counter / histogram sum. Eight padded
-/// slots cover typical worker-thread counts without false sharing.
+/// Number of write shards per counter / histogram sum: seven owned by
+/// one live thread each, plus one shared by any further threads.
 pub const SHARDS: usize = 8;
 
 /// Number of histogram buckets: one for zero plus one per power of
@@ -87,14 +91,64 @@ pub fn set_enabled(on: bool) {
 
 // ---- shard selection -------------------------------------------------
 
-/// Each thread gets a fixed shard slot, assigned round-robin at first
-/// use, so a thread's increments always hit the same cache line.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+/// The one shard written with `fetch_add`: threads that own no shard
+/// (more than `SHARDS - 1` alive at once, or mid-exit) share it.
+const SHARED: usize = SHARDS - 1;
+
+/// Owned shards not held by a live thread: bit `i` set = shard `i`
+/// is free.
+static FREE: AtomicU32 = AtomicU32::new((1 << SHARED) - 1);
+
+/// A thread's shard. An owned shard (`< SHARED`) has exactly one
+/// writer, so its update is a plain load and store rather than a
+/// locked read-modify-write. The release on thread exit and the
+/// acquire on the next claim order the old owner's last store before
+/// the new owner's first load, so no increment is lost on handover.
+struct Slot(usize);
+
+impl Slot {
+    fn claim() -> Slot {
+        let mut free = FREE.load(Ordering::Relaxed);
+        while free != 0 {
+            let i = free.trailing_zeros();
+            match FREE.compare_exchange_weak(
+                free,
+                free & !(1 << i),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Slot(i as usize),
+                Err(now) => free = now,
+            }
+        }
+        Slot(SHARED)
     }
-    SLOT.with(|s| *s)
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if self.0 != SHARED {
+            FREE.fetch_or(1 << self.0, Ordering::Release);
+        }
+    }
+}
+
+thread_local! {
+    static SLOT: Slot = Slot::claim();
+}
+
+/// Add `delta` to this thread's shard of `shards`.
+#[inline]
+fn add_sharded(shards: &[Pad; SHARDS], delta: u64) {
+    // A thread whose slot is already destroyed (a late thread-local
+    // destructor recording a metric) falls back to the shared shard.
+    let i = SLOT.try_with(|s| s.0).unwrap_or(SHARED);
+    let cell = &shards[i].0;
+    if i == SHARED {
+        cell.fetch_add(delta, Ordering::Relaxed);
+    } else {
+        cell.store(cell.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
+    }
 }
 
 /// A cache-line-padded atomic, so adjacent shards never share a line.
@@ -117,7 +171,7 @@ impl Counter {
         if delta == 0 || !enabled() {
             return;
         }
-        self.shards[shard_index()].0.fetch_add(delta, Ordering::Relaxed);
+        add_sharded(&self.shards, delta);
     }
 
     /// Add 1.
@@ -213,7 +267,7 @@ impl Histogram {
             return;
         }
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum[shard_index()].0.fetch_add(v, Ordering::Relaxed);
+        add_sharded(&self.sum, v);
     }
 
     /// Copy out the bucket counts and sum.
@@ -410,7 +464,7 @@ pub fn family_total(family: &str) -> u64 {
 
 /// A `static`-friendly counter handle: the registry lookup happens
 /// once, on first use, after which [`LazyCounter::add`] is a flag read
-/// plus one sharded `fetch_add`.
+/// plus one update of the thread's own shard.
 pub struct LazyCounter {
     name: &'static str,
     help: &'static str,

@@ -145,3 +145,40 @@ fn concurrent_registration_is_safe() {
         assert_eq!(counter(&name, "Race-registered.").get(), THREADS as u64);
     }
 }
+
+/// More threads than owned shards, in waves that exit and hand their
+/// shards over: no increment is lost whether a thread owns a shard,
+/// shares the last one, or inherits a shard a dead thread wrote.
+#[test]
+fn shard_handover_loses_no_increments() {
+    const WAVES: u64 = 3;
+    const THREADS: u64 = 3 * aql_metrics::SHARDS as u64;
+    const PER_THREAD: u64 = 20_000;
+
+    let c = counter("t_handover_total", "Handover counter.");
+    let h = histogram("t_handover_hist", "Handover histogram.");
+    let before_c = c.get();
+    let before_sum = h.snapshot().sum;
+
+    for _ in 0..WAVES {
+        // Every thread of a wave is alive at once, so at least
+        // `THREADS - (SHARDS - 1)` of them write the shared shard.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        c.add(1);
+                        h.observe(t);
+                    }
+                });
+            }
+        });
+    }
+
+    assert_eq!(c.get() - before_c, WAVES * THREADS * PER_THREAD, "lost counter increments");
+    let expected_sum = WAVES * PER_THREAD * (0..THREADS).sum::<u64>();
+    assert_eq!(h.snapshot().sum - before_sum, expected_sum, "lost histogram sum");
+}

@@ -1,6 +1,7 @@
 //! A budgeted LRU buffer cache for chunks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 use crate::buffer::ScalarBuf;
@@ -12,6 +13,8 @@ use crate::stats::CacheStats;
 
 struct Entry {
     buf: Rc<ScalarBuf>,
+    /// Recency: the cache tick of the last access. Ticks are unique,
+    /// so the smallest one names the least-recently-used entry.
     tick: u64,
 }
 
@@ -40,7 +43,10 @@ pub enum Loaded {
 /// and then evicts least-recently-used chunks until the payload bytes
 /// held fit the budget again (the just-loaded chunk is never evicted,
 /// so a single chunk larger than the whole budget still works — the
-/// cache simply holds that one chunk). A loader error is propagated
+/// cache simply holds that one chunk). Recency lives in each entry, so
+/// a hit is one map lookup and a tick store; the LRU victim comes from
+/// a min-heap of `(tick, id)` that only misses touch, re-keyed lazily
+/// where a hit left a key stale. A loader error is propagated
 /// to the caller and leaves the cache contents untouched, so a failed
 /// load can never poison previously cached chunks.
 ///
@@ -57,7 +63,10 @@ pub enum Loaded {
 pub struct ChunkCache {
     budget: u64,
     map: HashMap<u64, Entry>,
-    order: BTreeMap<u64, u64>, // tick -> chunk id
+    /// One `(tick, id)` per resident entry, pushed on insert. A hit
+    /// does not touch it, so a key may be older than its entry's tick;
+    /// [`lru`](ChunkCache::lru) re-keys such a key when it surfaces.
+    queue: BinaryHeap<Reverse<(u64, u64)>>,
     tick: u64,
     bytes: u64,
     stats: CacheStats,
@@ -71,7 +80,7 @@ impl ChunkCache {
         ChunkCache {
             budget: budget_bytes,
             map: HashMap::new(),
-            order: BTreeMap::new(),
+            queue: BinaryHeap::new(),
             tick: 0,
             bytes: 0,
             stats: CacheStats::default(),
@@ -144,9 +153,7 @@ impl ChunkCache {
         self.tick += 1;
         let tick = self.tick;
         if let Some(entry) = self.map.get_mut(&id) {
-            self.order.remove(&entry.tick);
             entry.tick = tick;
-            self.order.insert(tick, id);
             let buf = Rc::clone(&entry.buf);
             self.note(Event::CacheHit);
             return Ok(buf);
@@ -176,7 +183,7 @@ impl ChunkCache {
         }
         self.bytes += loaded;
         self.map.insert(id, Entry { buf: Rc::clone(&buf), tick });
-        self.order.insert(tick, id);
+        self.queue.push(Reverse((tick, id)));
         self.evict_over_budget(id);
         Ok(buf)
     }
@@ -191,31 +198,48 @@ impl ChunkCache {
             if governor::try_charge(needed) {
                 return true;
             }
-            let victim = self.order.iter().map(|(&t, &c)| (t, c)).next();
-            let Some((t, c)) = victim else { return false };
+            let Some(victim) = self.lru(None) else { return false };
             event::emit(&Label::NONE, Event::GovernorShed);
-            self.evict(t, c);
+            self.evict(victim);
         }
     }
 
     /// Evict LRU-first until within budget, sparing `keep`.
     fn evict_over_budget(&mut self, keep: u64) {
         while self.bytes > self.budget {
-            let victim = self
-                .order
-                .iter()
-                .map(|(&t, &c)| (t, c))
-                .find(|&(_, c)| c != keep);
-            let Some((t, c)) = victim else { break };
-            self.evict(t, c);
+            let Some(victim) = self.lru(Some(keep)) else { break };
+            self.evict(victim);
         }
     }
 
-    /// Drop chunk `id` (at recency `tick`), give its governed bytes
+    /// Take the least-recently-used chunk other than `spare` off the
+    /// queue. A popped key older than its entry's tick was refreshed
+    /// by a hit: it goes back under the current tick. A current key is
+    /// the true minimum, since every other entry's key is at most its
+    /// tick and ticks are unique. Each re-key pays for at least one hit
+    /// since the entry's last push, so a victim costs O(log chunks
+    /// held) amortized. `spare` is the just-loaded chunk, whose tick is
+    /// the newest, so it surfaces current only when nothing else is
+    /// held.
+    fn lru(&mut self, spare: Option<u64>) -> Option<u64> {
+        while let Some(Reverse((key, id))) = self.queue.pop() {
+            let tick = self.map.get(&id).expect("queued chunk is resident").tick;
+            if key == tick && Some(id) != spare {
+                return Some(id);
+            }
+            self.queue.push(Reverse((tick, id)));
+            if key == tick {
+                // The spared chunk, current: nothing older is held.
+                return None;
+            }
+        }
+        None
+    }
+
+    /// Drop chunk `id` (already off the queue), give its governed bytes
     /// back, and emit the eviction.
-    fn evict(&mut self, tick: u64, id: u64) {
-        self.order.remove(&tick);
-        let entry = self.map.remove(&id).expect("order and map agree");
+    fn evict(&mut self, id: u64) {
+        let entry = self.map.remove(&id).expect("lru victim is resident");
         let freed = entry.buf.byte_len();
         self.bytes -= freed;
         governor::release(freed);

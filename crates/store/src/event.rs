@@ -18,9 +18,9 @@
 //! says so in its arm. DESIGN.md §14 has the event-by-sink table.
 //!
 //! A cache hit is the hottest event: a `Cell` update, one flag read
-//! per switch, one sharded `fetch_add`, the journal's coalesced hit
-//! `Cell` and the ledger's one-`Cell` activity check — no allocation,
-//! no lock, no dynamic dispatch.
+//! per switch, one load and store to the thread's own metric shard,
+//! the journal's coalesced hit `Cell` and the ledger's one-`Cell`
+//! activity check — no allocation, no lock, no dynamic dispatch.
 
 use std::borrow::Cow;
 

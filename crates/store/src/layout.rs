@@ -120,16 +120,47 @@ impl ChunkLayout {
         if idx.iter().zip(&self.dims).any(|(&i, &d)| i >= d) {
             return None;
         }
-        let (_, count) = self.chunk_bounds_of(idx);
         let mut chunk = 0u64;
         let mut offset = 0u64;
-        for j in 0..self.dims.len() {
-            let cj = idx[j] / self.chunk[j];
-            let oj = idx[j] % self.chunk[j];
+        for (j, &i) in idx.iter().enumerate() {
+            let (cj, oj, count) = self.split(j, i);
             chunk = chunk * self.grid[j] + cj;
-            offset = offset * count[j] + oj;
+            offset = offset * count + oj;
         }
         Some(ChunkAddr { chunk, offset })
+    }
+
+    /// Locate the element at row-major linear offset `off`, or `None`
+    /// past the end. Arithmetic only: the multidimensional index is
+    /// never built, so a resident element costs no allocation.
+    pub fn locate_linear(&self, off: u64) -> Option<ChunkAddr> {
+        if off >= self.total_elems() {
+            return None;
+        }
+        // Innermost dimension first: peel one index digit per step and
+        // accumulate both row-major numbers from their low end.
+        let mut rem = off;
+        let (mut chunk, mut chunk_stride) = (0u64, 1u64);
+        let (mut offset, mut offset_stride) = (0u64, 1u64);
+        for j in (0..self.dims.len()).rev() {
+            let (cj, oj, count) = self.split(j, rem % self.dims[j]);
+            rem /= self.dims[j];
+            chunk += cj * chunk_stride;
+            offset += oj * offset_stride;
+            chunk_stride *= self.grid[j];
+            offset_stride *= count;
+        }
+        Some(ChunkAddr { chunk, offset })
+    }
+
+    /// Split in-bounds index `i` on dimension `j` into its grid
+    /// coordinate, its offset inside the chunk, and that chunk's
+    /// clipped extent.
+    #[inline(always)]
+    fn split(&self, j: usize, i: u64) -> (u64, u64, u64) {
+        let c = self.chunk[j];
+        let cj = i / c;
+        (cj, i % c, c.min(self.dims[j] - cj * c))
     }
 
     /// Grid coordinates of chunk `id`, or `None` if `id` is out of
@@ -165,18 +196,6 @@ impl ChunkLayout {
     pub fn chunk_len(&self, id: u64) -> Option<u64> {
         let (_, count) = self.chunk_bounds(id)?;
         checked_product(&count)
-    }
-
-    /// Clipped extents of the chunk containing in-bounds index `idx`.
-    fn chunk_bounds_of(&self, idx: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        let mut start = vec![0u64; idx.len()];
-        let mut count = vec![0u64; idx.len()];
-        for j in 0..idx.len() {
-            let cj = idx[j] / self.chunk[j];
-            start[j] = cj * self.chunk[j];
-            count[j] = self.chunk[j].min(self.dims[j] - start[j]);
-        }
-        (start, count)
     }
 }
 

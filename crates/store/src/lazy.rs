@@ -5,7 +5,7 @@ use std::rc::Rc;
 use crate::buffer::{Scalar, ScalarBuf, ScalarKind};
 use crate::cache::{ChunkCache, Loaded};
 use crate::error::StoreError;
-use crate::layout::{checked_product, ChunkLayout};
+use crate::layout::{checked_product, ChunkAddr, ChunkLayout};
 use crate::prefetch::{PrefetchStats, Prefetcher};
 use crate::source::ChunkSource;
 use crate::stats::CacheStats;
@@ -116,9 +116,24 @@ impl LazyArray {
     /// The element at multidimensional index `idx`; `Ok(None)` when
     /// the index is out of bounds.
     pub fn get(&mut self, idx: &[u64]) -> Result<Option<Scalar>, StoreError> {
-        let Some(addr) = self.layout.locate(idx) else {
-            return Ok(None);
-        };
+        match self.layout.locate(idx) {
+            Some(addr) => self.read_at(addr).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The element at row-major linear offset `off`; `Ok(None)` past
+    /// the end.
+    pub fn get_linear(&mut self, off: u64) -> Result<Option<Scalar>, StoreError> {
+        match self.layout.locate_linear(off) {
+            Some(addr) => self.read_at(addr).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The element at `addr`, loading its chunk on a miss. A warm hit
+    /// allocates nothing.
+    fn read_at(&mut self, addr: ChunkAddr) -> Result<Scalar, StoreError> {
         if let Some(pf) = &mut self.prefetch {
             pf.observe(addr.chunk);
         }
@@ -130,23 +145,12 @@ impl LazyArray {
             self.prefetch.as_mut(),
             addr.chunk,
         )?;
-        let s = buf.get(addr.offset as usize).ok_or_else(|| {
+        buf.get(addr.offset as usize).ok_or_else(|| {
             StoreError::Corrupt(format!(
                 "chunk {} has no offset {} despite validated length",
                 addr.chunk, addr.offset
             ))
-        })?;
-        Ok(Some(s))
-    }
-
-    /// The element at row-major linear offset `off`; `Ok(None)` past
-    /// the end.
-    pub fn get_linear(&mut self, off: u64) -> Result<Option<Scalar>, StoreError> {
-        if off >= self.layout.total_elems() {
-            return Ok(None);
-        }
-        let idx = unflatten(off, self.layout.dims());
-        self.get(&idx)
+        })
     }
 
     /// Materialize the hyperslab `(start, count)` into a flat buffer
@@ -202,6 +206,7 @@ impl LazyArray {
 
 /// Load chunk `id` through the cache, validating length and kind. On
 /// a miss the prefetcher's warm pool is consulted before the source.
+/// The chunk's hyperslab is computed on the miss path only.
 fn load_chunk(
     cache: &mut ChunkCache,
     layout: &ChunkLayout,
@@ -210,30 +215,30 @@ fn load_chunk(
     prefetch: Option<&mut Prefetcher>,
     id: u64,
 ) -> Result<Rc<ScalarBuf>, StoreError> {
-    let (start, count) = layout
-        .chunk_bounds(id)
-        .ok_or_else(|| StoreError::Shape(format!("chunk id {id} out of range")))?;
-    let want = layout.chunk_len(id).expect("bounds exist");
-    let validate = |buf: ScalarBuf| -> Result<ScalarBuf, StoreError> {
-        if buf.len() as u64 != want {
-            return Err(StoreError::Corrupt(format!(
-                "chunk {id}: source returned {} elements, layout expects {want}",
-                buf.len()
-            )));
-        }
-        if buf.kind() != kind {
-            return Err(StoreError::Corrupt(format!(
-                "chunk {id}: source returned {} elements, array is {kind}",
-                buf.kind()
-            )));
-        }
-        Ok(buf)
-    };
     cache.get_or_load_with(id, || {
         // Miss path only: hits never reach this closure, so the span
         // (and the sampling profiler reading it) sees exactly the
         // time spent materializing chunks from warm pools or sources.
         let _span = aql_trace::span("cache.load");
+        let (start, count) = layout
+            .chunk_bounds(id)
+            .ok_or_else(|| StoreError::Shape(format!("chunk id {id} out of range")))?;
+        let want: u64 = count.iter().product();
+        let validate = |buf: ScalarBuf| -> Result<ScalarBuf, StoreError> {
+            if buf.len() as u64 != want {
+                return Err(StoreError::Corrupt(format!(
+                    "chunk {id}: source returned {} elements, layout expects {want}",
+                    buf.len()
+                )));
+            }
+            if buf.kind() != kind {
+                return Err(StoreError::Corrupt(format!(
+                    "chunk {id}: source returned {} elements, array is {kind}",
+                    buf.kind()
+                )));
+            }
+            Ok(buf)
+        };
         if let Some(pf) = prefetch {
             if let Some(buf) = pf.take(id) {
                 // Warm buffers get the same validation: the worker's
@@ -246,17 +251,6 @@ fn load_chunk(
         }
         Ok(Loaded::Source(validate(source.read_chunk(&start, &count)?)?))
     })
-}
-
-/// Row-major multidimensional index for linear offset `off`.
-fn unflatten(off: u64, dims: &[u64]) -> Vec<u64> {
-    let mut rem = off;
-    let mut idx = vec![0u64; dims.len()];
-    for j in (0..dims.len()).rev() {
-        idx[j] = rem % dims[j];
-        rem /= dims[j];
-    }
-    idx
 }
 
 impl std::fmt::Debug for LazyArray {

@@ -1,10 +1,13 @@
 //! Property tests: lazy chunked access agrees element-for-element with
-//! dense row-major extraction, including edge chunks and zero-extent
-//! dimensions.
+//! dense row-major extraction, and arithmetic linear addressing agrees
+//! with multidimensional addressing, including edge chunks, extent-1
+//! and zero-extent dimensions.
 
 use proptest::prelude::*;
 
-use aql_store::{ChunkLayout, ChunkSource, LazyArray, Scalar, ScalarBuf, ScalarKind, StoreError};
+use aql_store::{
+    ChunkAddr, ChunkLayout, ChunkSource, LazyArray, Scalar, ScalarBuf, ScalarKind, StoreError,
+};
 
 /// A chunk source over a dense in-memory row-major f64 vector — the
 /// ground truth the lazy path is compared against.
@@ -101,6 +104,17 @@ fn arb_case() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>)>
         })
 }
 
+/// Row-major multidimensional index of linear offset `off`.
+fn unflatten(off: u64, dims: &[u64]) -> Vec<u64> {
+    let mut idx = vec![0u64; dims.len()];
+    let mut rem = off;
+    for j in (0..dims.len()).rev() {
+        idx[j] = rem % dims[j];
+        rem /= dims[j];
+    }
+    idx
+}
+
 fn iota(dims: &[u64]) -> Vec<f64> {
     let n: u64 = dims.iter().product();
     (0..n).map(|i| i as f64 * 0.5).collect()
@@ -118,13 +132,7 @@ proptest! {
 
         let n: u64 = dims.iter().product();
         for off in 0..n {
-            // Unflatten off into an index.
-            let mut idx = vec![0u64; dims.len()];
-            let mut rem = off;
-            for j in (0..dims.len()).rev() {
-                idx[j] = rem % dims[j];
-                rem /= dims[j];
-            }
+            let idx = unflatten(off, &dims);
             let got = lazy.get(&idx).unwrap();
             prop_assert_eq!(got, Some(Scalar::F64(data[off as usize])));
             prop_assert_eq!(lazy.get_linear(off).unwrap(), got);
@@ -150,5 +158,29 @@ proptest! {
         let got = lazy.read_slab(&start, &count).unwrap();
         let want = dense_slab(&dims, &data, &start, &count);
         prop_assert_eq!(got, ScalarBuf::F64(want));
+    }
+
+    /// `locate_linear(off)` is `locate` of the row-major index of `off`
+    /// for every offset, and the address it gives lies inside its
+    /// (clipped) chunk; past the end it is `None`. Ranks up to 4,
+    /// extents 0..7 (so extent-1 and zero-extent dimensions occur) and
+    /// chunk extents that clip the trailing edge.
+    #[test]
+    fn locate_linear_matches_locate(
+        dims in (1usize..5).prop_flat_map(|r| prop::collection::vec(0u64..7, r..=r)),
+        chunk_seed in prop::collection::vec(1u64..6, 4..=4),
+    ) {
+        let chunk: Vec<u64> = chunk_seed[..dims.len()].to_vec();
+        let layout = ChunkLayout::new(dims.clone(), chunk).unwrap();
+        let n = layout.total_elems();
+        for off in 0..n {
+            let idx = unflatten(off, &dims);
+            let addr = layout.locate_linear(off);
+            prop_assert_eq!(addr, layout.locate(&idx));
+            let ChunkAddr { chunk, offset } = addr.unwrap();
+            prop_assert!(offset < layout.chunk_len(chunk).unwrap());
+        }
+        prop_assert_eq!(layout.locate_linear(n), None);
+        prop_assert_eq!(layout.locate_linear(u64::MAX), None);
     }
 }

@@ -7,14 +7,19 @@
 //! * the §6 object translation `°` roundtrips at every object type;
 //! * the §5 optimizer is semantics-preserving on randomly composed
 //!   array pipelines (the error-free fragment, per the paper's
-//!   soundness convention).
+//!   soundness convention);
+//! * `min!`, `max!` and `⋃` over a streamed comprehension nest agree
+//!   with the same set bound by `let` first: same value or classified
+//!   error, and step counts that differ only by the `let` itself.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 
 use aql::core::derived;
-use aql::core::eval::eval_closed;
+use aql::core::error::EvalError;
+use aql::core::eval::{eval, eval_closed, EvalCtx, Limits};
+use aql::core::prim::Extensions;
 use aql::core::expr::builder::*;
 use aql::core::expr::Expr;
 use aql::core::rank::{decode_obj, encode_obj};
@@ -390,4 +395,176 @@ proptest! {
         prop_assert_eq!(eval_closed(&optimize(&q1)).unwrap(), v1);
         prop_assert_eq!(eval_closed(&optimize(&q2)).unwrap(), v2);
     }
+}
+
+// ---------------------------------------------------------------------
+// Streamed set enumeration against the materializing fallback.
+// ---------------------------------------------------------------------
+
+/// A random set-valued comprehension nest: generators nested in heads
+/// and filters, over `nat` and `real` elements. Unlike
+/// [`arb_set_expr`] it is not always well typed or ⊥-free: heads can
+/// be ⊥ (`6 / 0`), a source or a filter condition can be ⊥, a head can
+/// fail to be a set, and reals include `-0.0`, `0.0` and both NaN
+/// signs.
+fn arb_stream_nest(depth: u32) -> BoxedStrategy<Expr> {
+    let fresh = || aql::core::expr::free::fresh("x");
+    let reals = [-0.0, 0.0, f64::NAN, -f64::NAN, 1.5];
+    let leaf = prop_oneof![
+        4 => (0u64..5).prop_map(|n| gen(nat(n))),
+        1 => Just(empty()),
+        3 => prop::collection::vec(0u64..6, 1..4)
+            .prop_map(|ns| ns.into_iter().fold(empty(), |a, n| union(a, single(nat(n))))),
+        2 => prop::collection::vec(0usize..5, 1..4).prop_map(move |ks| {
+            ks.into_iter().fold(empty(), |a, k| union(a, single(real(reals[k]))))
+        }),
+        1 => Just(bottom()),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let sub = arb_stream_nest(depth - 1);
+    prop_oneof![
+        2 => leaf,
+        // ⋃{ {f(x)} | x ∈ S }: identity, duplicates, ⊥ at x = 0, ties.
+        3 => (sub.clone(), 0u8..4).prop_map(move |(s, f)| {
+            let x = fresh();
+            let head = match f {
+                0 => var(&x),
+                1 => modulo(var(&x), nat(3)),
+                2 => div(nat(6), var(&x)),
+                _ => iff(lt(var(&x), nat(2)), real(-0.0), real(0.0)),
+            };
+            big_union(&x, s, single(head))
+        }),
+        // ⋃{ T | x ∈ S }: a nested generator.
+        3 => (sub.clone(), sub.clone()).prop_map(move |(s, t)| big_union(&fresh(), s, t)),
+        // ⋃{ if x < c then T else {} | x ∈ S }: a filter.
+        2 => (sub.clone(), sub.clone(), 0u64..4).prop_map(move |(s, t, c)| {
+            let x = fresh();
+            big_union(&x, s, iff(lt(var(&x), nat(c)), t, empty()))
+        }),
+        // A filter whose condition is ⊥ at x = 0.
+        1 => sub.clone().prop_map(move |s| {
+            let x = fresh();
+            big_union(&x, s, iff(lt(div(nat(1), var(&x)), nat(1)), empty(), single(var(&x))))
+        }),
+        // ⋃{ ⋃{ {x + y} | y ∈ gen(x mod 4) } | x ∈ S }: a dependent source.
+        2 => sub.clone().prop_map(move |s| {
+            let (x, y) = (fresh(), fresh());
+            let inner = big_union(&y, gen(modulo(var(&x), nat(4))), single(add(var(&x), var(&y))));
+            big_union(&x, s, inner)
+        }),
+        // A head that is not a set.
+        1 => sub.clone().prop_map(move |s| {
+            let x = fresh();
+            big_union(&x, s, var(&x))
+        }),
+        1 => (sub.clone(), sub.clone()).prop_map(|(s, t)| union(s, t)),
+        1 => (sub.clone(), sub, 0u64..3).prop_map(|(s, t, c)| iff(lt(nat(c), nat(1)), s, t)),
+    ]
+    .boxed()
+}
+
+/// An operator over a set-valued term.
+type SetOp<'a> = &'a dyn Fn(Expr) -> Expr;
+
+/// Evaluate under `limits`: the outcome and the steps it took.
+fn eval_counted(e: &Expr, limits: Limits) -> (Result<Value, EvalError>, u64) {
+    let globals = std::collections::HashMap::new();
+    let externals = Extensions::new();
+    let ctx = EvalCtx::new(&globals, &externals).with_limits(limits);
+    let out = eval(e, &ctx);
+    (out, ctx.stats().steps)
+}
+
+/// The bit pattern of a real result, so `-0.0`/`0.0` and NaN signs
+/// are told apart.
+fn real_bits(r: &Result<Value, EvalError>) -> Option<u64> {
+    match r {
+        Ok(Value::Real(x)) => Some(x.to_bits()),
+        _ => None,
+    }
+}
+
+/// Each operator over `nest`, streamed, against `let s = nest in op(s)`,
+/// whose `op` iterates a set built beforehand.
+///
+/// Steps: the streamed form ticks the operator's own `pre` nodes, then
+/// the nest exactly as evaluating it alone does. The `let` form ticks
+/// the `let` and the nest; only when the nest gives a value (not ⊥,
+/// not an error) do the operator's nodes and the variable read follow.
+/// A step limit halfway through the nest trips both forms at the same
+/// nest node.
+fn check_streaming(nest: &Expr) {
+    let (alone, n0) = eval_counted(nest, Limits::default());
+    let valued = matches!(&alone, Ok(v) if !v.is_bottom());
+    let d = aql::core::expr::free::fresh("d");
+    let s = aql::core::expr::free::fresh("s");
+    // ⋃{ S | d ∈ {0} }: the head nest streams into the union.
+    let big = |e| big_union(&d, single(nat(0)), e);
+    let ops: [(&str, u64, SetOp); 3] =
+        [("min!", 1, &set_min), ("max!", 1, &set_max), ("⋃", 3, &big)];
+    for (name, pre, op) in &ops {
+        let streamed = op(nest.clone());
+        let bound = let_(&s, nest.clone(), op(var(&s)));
+        let (v1, n1) = eval_counted(&streamed, Limits::default());
+        let (v2, n2) = eval_counted(&bound, Limits::default());
+        assert_eq!(v1, v2, "{name}: value of {nest}");
+        assert_eq!(real_bits(&v1), real_bits(&v2), "{name}: bits of {nest}");
+        assert_eq!(n1, pre + n0, "{name}: streamed steps of {nest}");
+        assert_eq!(n2, 1 + n0 + if valued { pre + 1 } else { 0 }, "{name}: let steps of {nest}");
+        if n0 > 0 {
+            let half = n0 / 2;
+            let limited = |max_steps| Limits { max_steps, ..Limits::default() };
+            let (l1, m1) = eval_counted(&streamed, limited(pre + half));
+            let (l2, m2) = eval_counted(&bound, limited(1 + half));
+            assert_eq!(l1, Err(EvalError::StepLimit), "{name}: limited {nest}");
+            assert_eq!(l2, Err(EvalError::StepLimit), "{name}: limited let {nest}");
+            assert_eq!((m1, m2), (pre + half, 1 + half));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn streamed_set_ops_match_let_bound_sets(nest in arb_stream_nest(3)) {
+        check_streaming(&nest);
+    }
+
+    #[test]
+    fn streamed_set_ops_match_on_well_typed_trees(tree in arb_set_expr(3)) {
+        check_streaming(&tree);
+    }
+}
+
+#[test]
+fn streamed_set_ops_pinned_cases() {
+    let reals = |rs: &[f64]| rs.iter().fold(empty(), |a, &r| union(a, single(real(r))));
+    let cases = [
+        // ⊥ in the innermost head.
+        big_union("x", gen(nat(3)), big_union("y", gen(nat(2)), single(div(nat(6), var("y"))))),
+        // ⊥ source in a middle generator.
+        big_union(
+            "x",
+            gen(nat(3)),
+            big_union("y", iff(lt(var("x"), nat(2)), gen(nat(2)), bottom()), single(var("y"))),
+        ),
+        // A non-set head.
+        big_union("x", gen(nat(3)), var("x")),
+        // An empty set: min!/max! give ⊥.
+        big_union("x", gen(nat(3)), empty()),
+        // Ties under total_cmp: -0.0 < 0.0, and NaNs by sign.
+        big_union("x", gen(nat(2)), reals(&[0.0, -0.0, 0.0])),
+        big_union("x", reals(&[f64::NAN, 1.5, -f64::NAN]), single(var("x"))),
+    ];
+    for nest in &cases {
+        check_streaming(nest);
+    }
+    let (min, _) = eval_counted(&set_min(cases[4].clone()), Limits::default());
+    assert_eq!(real_bits(&min), Some((-0.0f64).to_bits()));
+    let (max, _) = eval_counted(&set_max(cases[5].clone()), Limits::default());
+    assert_eq!(real_bits(&max), Some(f64::NAN.to_bits()));
 }
